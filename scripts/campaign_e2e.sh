@@ -44,6 +44,16 @@ echo "== sharded runs merge to the same grid"
 "$QPERC" campaign export "${GRID[@]}" --out "$WORKDIR/shards" > "$WORKDIR/shards.csv"
 cmp "$WORKDIR/ref.csv" "$WORKDIR/shards.csv"
 
+echo "== trace counters are observation-only: default and --no-counters exports match"
+# TCP over DSL/LTE: a grid with droptail overflow, where admission decisions
+# at a serialization boundary show up in the results.
+COUNTED=(--sites 2 --runs 2 --seed 7 --protocols TCP --networks DSL,LTE)
+"$QPERC" campaign run "${COUNTED[@]}" --jobs 2 --out "$WORKDIR/counted" --quiet
+"$QPERC" campaign run "${COUNTED[@]}" --jobs 2 --no-counters --out "$WORKDIR/uncounted" --quiet
+"$QPERC" campaign export "${COUNTED[@]}" --out "$WORKDIR/counted" > "$WORKDIR/counted.csv"
+"$QPERC" campaign export "${COUNTED[@]}" --out "$WORKDIR/uncounted" > "$WORKDIR/uncounted.csv"
+cmp "$WORKDIR/counted.csv" "$WORKDIR/uncounted.csv"
+
 echo "== malformed invocations are rejected"
 if "$QPERC" campaign run --definitely-not-a-flag 2>/dev/null; then
   echo "FAIL: unknown flag was accepted" >&2; exit 1

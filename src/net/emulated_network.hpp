@@ -74,8 +74,9 @@ class EmulatedNetwork {
 
   [[nodiscard]] const LinkStats& uplink_stats() const { return uplink_.stats(); }
   [[nodiscard]] const LinkStats& downlink_stats() const { return downlink_.stats(); }
-  /// Direct link access (observers/tracing). These are the shared bottleneck
-  /// links; access links are internal to their endpoints.
+  /// Direct link access (queue facts, mid-run impairment changes). These are
+  /// the shared bottleneck links; access links are internal to their
+  /// endpoints.
   [[nodiscard]] Link& uplink() { return uplink_; }
   [[nodiscard]] Link& downlink() { return downlink_; }
   [[nodiscard]] const NetworkProfile& profile() const noexcept { return profile_; }

@@ -18,42 +18,19 @@ Link::Link(sim::Simulator& simulator, DataRate rate, SimDuration propagation_del
 
 void Link::send(Packet packet) {
   ++stats_.packets_offered;
-  // The untraced path folds the per-packet serialization-complete event into
-  // arithmetic on busy_until_ — the dominant cost of a page-load trial is
-  // event dispatch, and this halves the event count. With an observer or a
-  // trace sink attached the event-driven path runs instead, so per-packet
-  // notifications keep their original timestamps. Both paths draw from the
-  // loss RNG in serialization (FIFO = send) order and share the busy clock,
-  // so they produce identical streams and identical delivery times.
-  if (observer_ || simulator_.trace() != nullptr || serializing_) {
-    send_traced(std::move(packet));
-  } else {
-    send_fast(std::move(packet));
-  }
-}
-
-void Link::drain_completed() {
-  // A completion landing at exactly this instant counts as done: its
-  // completion event was scheduled a full transmission time ago, before the
-  // event performing this send, so the event-driven ordering fires it first.
-  // Must agree with the queued_bytes() accessor or a sender polling it could
-  // spin on a capacity check that never passes.
-  while (!completions_.empty() && completions_.front().done <= simulator_.now()) {
-    queued_bytes_ -= completions_.front().wire_bytes;
-    completions_.pop_front();
-  }
-}
-
-void Link::send_fast(Packet&& packet) {
+  // Serialization is arithmetic on busy_until_ rather than a per-packet
+  // completion event — the dominant cost of a page-load trial is event
+  // dispatch, and this halves the event count. The packet's fate is decided
+  // here, at enqueue, so only its delivery is scheduled.
   drain_completed();
   if (queued_bytes_ + packet.wire_bytes > queue_capacity_bytes_) {
     ++stats_.drops_queue_full;
-    notify(LinkEvent::kDroppedQueueFull, packet);
+    notify(trace::EventType::kLinkDroppedQueueFull, packet);
     return;
   }
   queued_bytes_ += packet.wire_bytes;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  notify(LinkEvent::kEnqueued, packet);
+  notify(trace::EventType::kLinkEnqueued, packet);
   const SimTime start = std::max(simulator_.now(), busy_until_);
   const SimTime done = serialize_end(start, packet.wire_bytes);
   busy_until_ = done;
@@ -61,17 +38,14 @@ void Link::send_fast(Packet&& packet) {
   decide_fate(packet, done);
 }
 
-void Link::send_traced(Packet&& packet) {
-  if (queued_bytes_ + packet.wire_bytes > queue_capacity_bytes_) {
-    ++stats_.drops_queue_full;
-    notify(LinkEvent::kDroppedQueueFull, packet);
-    return;
+void Link::drain_completed() {
+  // A serialization finishing at exactly this instant has left the queue.
+  // Must agree with the queued_bytes() accessor or a sender polling it could
+  // spin on a capacity check that never passes.
+  while (!completions_.empty() && completions_.front().done <= simulator_.now()) {
+    queued_bytes_ -= completions_.front().wire_bytes;
+    completions_.pop_front();
   }
-  queued_bytes_ += packet.wire_bytes;
-  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  notify(LinkEvent::kEnqueued, packet);
-  queue_.push_back(std::move(packet));
-  if (!serializing_) start_serialization();
 }
 
 SimTime Link::serialize_end(SimTime start, std::uint64_t wire_bytes) const {
@@ -129,23 +103,25 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
   // Random loss models the lossy wireless segment beyond the bottleneck; the
   // packet has already consumed its serialization slot. This stays the first
   // (and, with impairments off, only) draw so impairment-free profiles keep
-  // their exact RNG stream and golden traces.
+  // their exact RNG stream and golden traces. The four drops below happen
+  // after serialization; their trace events carry its end time (ns) in `id`.
+  const auto done_ns = static_cast<std::uint64_t>(done.count());
   if (loss_rng_.bernoulli(loss_rate_)) {
     ++stats_.drops_random_loss;
-    notify(LinkEvent::kDroppedRandomLoss, packet);
+    notify(trace::EventType::kLinkDroppedRandomLoss, packet, done_ns);
   } else if (impairments_.in_outage(done)) {
     ++stats_.drops_outage;
-    notify(LinkEvent::kDroppedOutage, packet);
+    notify(trace::EventType::kLinkDroppedOutage, packet, done_ns);
   } else if (bursty_loss()) {
     ++stats_.drops_burst_loss;
-    notify(LinkEvent::kDroppedBurstLoss, packet);
+    notify(trace::EventType::kLinkDroppedBurstLoss, packet, done_ns);
   } else if (policed(packet, done)) {
     // Policing comes after the stochastic stages so a policed profile keeps
     // the same loss-RNG stream; the drop itself is deterministic. Dropping
     // post-serialization (no queueing signature) is exactly the carrier
     // token-bucket pathology BBR's lt_bw estimator detects.
     ++stats_.drops_policer;
-    notify(LinkEvent::kDroppedPolicer, packet);
+    notify(trace::EventType::kLinkDroppedPolicer, packet, done_ns);
   } else {
     SimDuration delay = propagation_delay_;
     if (impairments_.reordering_enabled() &&
@@ -153,13 +129,13 @@ void Link::decide_fate(const Packet& packet, SimTime done) {
       const SimDuration extra = jitter_draw();
       delay += extra;
       ++stats_.reordered;
-      notify(LinkEvent::kReordered, packet, static_cast<std::uint64_t>(extra.count()));
+      notify(trace::EventType::kLinkReordered, packet, static_cast<std::uint64_t>(extra.count()));
     }
     schedule_delivery_at(packet, done + delay);
     if (impairments_.duplication_enabled() &&
         loss_rng_.bernoulli(impairments_.duplicate_rate)) {
       ++stats_.duplicates;
-      notify(LinkEvent::kDuplicated, packet);
+      notify(trace::EventType::kLinkDuplicated, packet);
       // The copy trails the original; with no jitter window configured it
       // lands at the same instant but after the original in FIFO order.
       const SimDuration lag = impairments_.reorder_delay_max > SimDuration::zero()
@@ -174,27 +150,8 @@ void Link::schedule_delivery_at(const Packet& packet, SimTime when) {
   simulator_.schedule_at(when, [this, packet]() mutable {
     ++stats_.packets_delivered;
     stats_.bytes_delivered += packet.wire_bytes;
-    notify(LinkEvent::kDelivered, packet);
+    notify(trace::EventType::kLinkDelivered, packet);
     deliver_(std::move(packet));
-  });
-}
-
-void Link::start_serialization() {
-  if (queue_.empty()) {
-    serializing_ = false;
-    return;
-  }
-  serializing_ = true;
-  const Packet packet = queue_.pop_front();
-  // Respect any backlog the fast path accounted for arithmetically, so an
-  // observer attaching mid-flight never overlaps two serializations.
-  const SimTime done =
-      serialize_end(std::max(simulator_.now(), busy_until_), packet.wire_bytes);
-  busy_until_ = done;
-  simulator_.schedule_at(done, [this, packet]() mutable {
-    queued_bytes_ -= packet.wire_bytes;
-    decide_fate(packet, simulator_.now());
-    start_serialization();
   });
 }
 

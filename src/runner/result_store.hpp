@@ -1,8 +1,8 @@
 // Durable, resumable store for campaign results.
 //
-// On-disk format (version 2, plain text, one record per line):
+// On-disk format (version 3, plain text, one record per line):
 //
-//   qperc-campaign-v2 <seed> <runs> <count>
+//   qperc-campaign-v3 <seed> <runs> <count>
 //   <video record>                                  x count, key-sorted
 //   checksum <16-digit hex FNV-1a over the record block>
 //
@@ -42,7 +42,7 @@ class ResultStore {
  public:
   using Key = std::tuple<std::string, std::string, int>;
 
-  static constexpr const char* kMagic = "qperc-campaign-v2";
+  static constexpr const char* kMagic = "qperc-campaign-v3";
 
   ResultStore(std::string path, std::uint64_t seed, std::uint32_t runs,
               std::size_t checkpoint_every = 25);

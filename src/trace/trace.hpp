@@ -53,16 +53,17 @@ enum class EventType : std::uint8_t {
   kObjectRequested,         // id = object id, bytes = object size
   kObjectComplete,          // id = object id, value = objects completed so far
   kPageFinished,            // value = 1 if complete, 0 if the time cap hit
-  // net (value = 0 uplink, 1 downlink)
-  kLinkEnqueued,            // bytes = wire bytes
+  // net (value = 0 uplink, 1 downlink; bytes = wire bytes). Emitted when
+  // the link decides: at enqueue, except kLinkDelivered at delivery.
+  kLinkEnqueued,
   kLinkDroppedQueueFull,
-  kLinkDroppedRandomLoss,
+  kLinkDroppedRandomLoss,   // id = serialization end (ns)
   kLinkDelivered,
-  kLinkDroppedBurstLoss,    // Gilbert–Elliott correlated loss
-  kLinkDroppedOutage,       // link was down (outage/flap window)
+  kLinkDroppedBurstLoss,    // Gilbert–Elliott correlated loss; id as above
+  kLinkDroppedOutage,       // link was down (outage/flap window); id as above
   kLinkDuplicated,          // a second copy was scheduled for delivery
   kLinkReordered,           // id = extra delay applied (ns)
-  kLinkDroppedPolicer,      // token-bucket policer exhausted
+  kLinkDroppedPolicer,      // token-bucket policer exhausted; id as above
 };
 
 [[nodiscard]] Category category_of(EventType type) noexcept;

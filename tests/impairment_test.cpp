@@ -17,6 +17,7 @@
 #include "net/rate_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/config.hpp"
+#include "trace/memory_sink.hpp"
 #include "transport_test_util.hpp"
 #include "util/rng.hpp"
 
@@ -331,25 +332,33 @@ TEST(RateSchedule, TraceGeneratorsAreDeterministicSeededAndFloored) {
   }
 }
 
-/// Delivery times of `count` kilobyte packets offered at t=0 to a lossless
-/// zero-propagation link running `schedule`, with an optional observer
-/// attach/detach window to force the event-driven serialization path.
+/// Delivery times of `count` kilobyte packets offered to a lossless
+/// zero-propagation link running `schedule` with a droptail queue of
+/// `queue_bytes`; packet i is offered at i × `spacing`. An optional window
+/// attaches a trace sink at `attach_at` and detaches it at `detach_at`.
 std::vector<SimTime> scheduled_deliveries(const RateSchedule& schedule, int count,
+                                          std::uint64_t queue_bytes = 10'000'000,
+                                          SimDuration spacing = SimDuration::zero(),
                                           SimTime attach_at = kNoTime,
                                           SimTime detach_at = kNoTime) {
   sim::Simulator simulator;
+  trace::MemorySink sink;
   std::vector<SimTime> times;
   Link link(simulator, DataRate::bytes_per_second(1'000'000), SimDuration::zero(), 0.0,
-            10'000'000, Rng(1), [&](Packet) { times.push_back(simulator.now()); });
+            queue_bytes, Rng(1), [&](Packet) { times.push_back(simulator.now()); });
   link.set_schedule(schedule);
   if (attach_at != kNoTime) {
-    simulator.schedule_at(attach_at,
-                          [&link] { link.set_observer([](LinkEvent, const Packet&) {}); });
+    simulator.schedule_at(attach_at, [&] { simulator.set_trace(&sink); });
   }
   if (detach_at != kNoTime) {
-    simulator.schedule_at(detach_at, [&link] { link.set_observer({}); });
+    simulator.schedule_at(detach_at, [&] { simulator.set_trace(nullptr); });
   }
-  for (int i = 0; i < count; ++i) link.send(make_packet(1000, 100 + i));
+  // Offers are scheduled up front, so an offer landing on the instant a
+  // serialization ends runs before anything the link scheduled itself.
+  for (int i = 0; i < count; ++i) {
+    simulator.schedule_at(SimTime{spacing * i},
+                          [&link, i] { link.send(make_packet(1000, 100 + i)); });
+  }
   simulator.run();
   return times;
 }
@@ -388,20 +397,29 @@ TEST(Schedules, MidPacketStepIntegratesByteAccurately) {
 }
 
 TEST(Schedules, ObserverAttachDetachKeepsDeliveryTimes) {
-  // The regression this PR fixes: with a schedule installed, an observer
-  // attaching mid-backlog switches serialization from the arithmetic fast
-  // path to the event-driven path. Both must re-derive busy_until_ through
-  // the same piecewise integration, so delivery times cannot move.
+  // Attaching or detaching a trace sink mid-backlog must not move a single
+  // delivery, with a schedule retiming the backlog and with a droptail queue
+  // that only holds the packet in service, where every admission decision
+  // at a serialization boundary is visible in the output.
   RateStep steps[] = {{SimDuration::zero(), DataRate::bytes_per_second(1'000'000)},
                       {microseconds(3500), DataRate::bytes_per_second(125'000)},
                       {milliseconds(40), DataRate::bytes_per_second(500'000)}};
   const RateSchedule schedule = RateSchedule::steps(steps, 3);
+  const SimTime attach{milliseconds(2)};
+  const SimTime detach{milliseconds(30)};
+  const std::uint64_t big = 10'000'000;
   const auto baseline = scheduled_deliveries(schedule, 12);
-  const auto observed_all = scheduled_deliveries(schedule, 12, SimTime{0});
-  const auto observed_window =
-      scheduled_deliveries(schedule, 12, SimTime{milliseconds(2)}, SimTime{milliseconds(30)});
-  EXPECT_EQ(baseline, observed_all);
-  EXPECT_EQ(baseline, observed_window);
+  EXPECT_EQ(baseline, scheduled_deliveries(schedule, 12, big, {}, SimTime{0}));
+  EXPECT_EQ(baseline, scheduled_deliveries(schedule, 12, big, {}, attach, detach));
+
+  // One 1000-byte packet per millisecond into a one-packet queue: offers
+  // coincide with serialization ends for the first 3 ms, then the step to
+  // 125 kB/s overflows the queue and only 12 of the 48 packets get through.
+  const auto tight = scheduled_deliveries(schedule, 48, 1000, milliseconds(1));
+  EXPECT_EQ(tight.size(), 12u);
+  EXPECT_EQ(tight, scheduled_deliveries(schedule, 48, 1000, milliseconds(1), SimTime{0}));
+  EXPECT_EQ(tight,
+            scheduled_deliveries(schedule, 48, 1000, milliseconds(1), attach, detach));
 }
 
 TEST(Schedules, ScheduleLeavesTheLossRngStreamUntouched) {

@@ -219,6 +219,21 @@ TEST(ResultStore, RejectsMismatchedSeedOrRuns) {
   EXPECT_FALSE(wrong_runs.load());
   ResultStore missing(temp_path("qperc_store_missing.qcr"), 7, 2);
   EXPECT_FALSE(missing.load());
+
+  // An older format version is refused even with intact records and
+  // checksum: v2 stores may hold counter-enabled campaign results that the
+  // current link model no longer reproduces.
+  std::string stale = slurp(path);
+  const std::string magic = ResultStore::kMagic;
+  ASSERT_EQ(stale.compare(0, magic.size(), magic), 0);
+  stale.replace(0, magic.size(), "qperc-campaign-v2");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << stale;
+  }
+  ResultStore old_version(path, 7, 2);
+  EXPECT_FALSE(old_version.load());
+  EXPECT_EQ(old_version.size(), 0u);
   std::remove(path.c_str());
 }
 
