@@ -64,5 +64,18 @@ fi
 if "$QPERC" campaign run --shard nonsense 2>/dev/null; then
   echo "FAIL: malformed --shard was accepted" >&2; exit 1
 fi
+# A run count of 0, or one that wraps to 0 in 32 bits, is bad input (exit 2),
+# never a crash.
+expect_usage_error() {
+  local status=0
+  "$QPERC" "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: 'qperc $*' exited $status, expected 2" >&2; exit 1
+  fi
+}
+for runs in 0 4294967296; do
+  expect_usage_error campaign run --runs "$runs" --out "$WORKDIR/bad"
+  expect_usage_error video --runs "$runs"
+done
 
 echo "campaign_e2e: OK"

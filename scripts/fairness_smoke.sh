@@ -80,5 +80,8 @@ fi
 if "$QPERC" fairness --runs 0 2>/dev/null; then
   echo "FAIL: zero --runs was accepted" >&2; exit 1
 fi
+if "$QPERC" fairness --runs 4294967296 2>/dev/null; then
+  echo "FAIL: --runs wrapping to zero was accepted" >&2; exit 1
+fi
 
 echo "fairness_smoke: OK"

@@ -77,5 +77,8 @@ fi
 if "$QPERC" study run --participants 0 2>/dev/null; then
   echo "FAIL: zero --participants was accepted" >&2; exit 1
 fi
+if "$QPERC" study run --runs 4294967296 2>/dev/null; then
+  echo "FAIL: --runs wrapping to zero was accepted" >&2; exit 1
+fi
 
 echo "study_e2e: OK"

@@ -244,18 +244,32 @@ PageLoadResult load_page(sim::Simulator& simulator, const web::Website& site,
                          SimDuration time_cap, std::uint64_t max_events) {
   PageLoader loader(simulator, site, std::move(factory), rng);
   loader.start();
+  StopReason stop = StopReason::kTimeCap;
   const SimTime deadline = simulator.now() + time_cap;
   const std::uint64_t events_at_start = simulator.events_processed();
   while (!loader.finished() && simulator.now() < deadline) {
     const std::uint64_t spent = simulator.events_processed() - events_at_start;
-    if (spent >= max_events) break;  // event budget exhausted: report progress so far
+    if (spent >= max_events) {
+      stop = StopReason::kEventBudget;  // report progress so far
+      break;
+    }
+    if (simulator.pending_events() == 0) {
+      // Nothing can fire again. Idle straight to the deadline, where the
+      // 200 ms steps below would have carried the clock anyway.
+      stop = StopReason::kDeadlock;
+      simulator.run_until(deadline, max_events - spent);
+      break;
+    }
     const SimTime next = std::min(deadline, simulator.now() + milliseconds(200));
     simulator.run_until(next, max_events - spent);
   }
+  if (loader.finished()) stop = StopReason::kFinished;
   simulator.trace_event(trace::EventType::kPageFinished, trace::Endpoint::kClient,
                         /*flow=*/0, loader.completed_objects(), /*bytes=*/0,
                         loader.finished() ? 1 : 0);
-  return loader.result();
+  PageLoadResult result = loader.result();
+  result.stop = stop;
+  return result;
 }
 
 }  // namespace qperc::browser

@@ -21,6 +21,15 @@
 
 namespace qperc::browser {
 
+/// Why load_page returned. Every reason but kFinished leaves partial metrics
+/// whose PLT is the simulator clock at return.
+enum class StopReason : std::uint8_t {
+  kFinished,
+  kTimeCap,      // the virtual-time cap passed: legal under heavy impairment
+  kEventBudget,  // the simulator-event budget ran out: a runaway (hung) trial
+  kDeadlock,     // empty event queue, page unfinished: no timer left to fire
+};
+
 struct PageLoadResult {
   PageMetrics metrics;
   std::vector<VcSample> vc_curve;
@@ -33,6 +42,7 @@ struct PageLoadResult {
   /// double-count.
   std::vector<std::uint64_t> object_body_delivered;
   std::uint32_t connections_opened = 0;
+  StopReason stop = StopReason::kFinished;
 };
 
 class PageLoader {
@@ -113,15 +123,15 @@ class PageLoader {
   SimTime page_load_end_{0};
 };
 
-/// Default virtual-time safety cap for load_page.
+/// Default virtual-time safety cap of a trial (core::TrialSpec::time_cap).
 inline constexpr SimDuration kDefaultLoadTimeCap = seconds(180);
 
-/// Convenience: run one page load to completion (with a virtual-time safety
-/// cap and a simulator-event budget) and return the result. The load stops
-/// early if `max_events` simulator events fire before the page finishes.
-[[nodiscard]] PageLoadResult load_page(
-    sim::Simulator& simulator, const web::Website& site, PageLoader::SessionFactory factory,
-    Rng rng = Rng(0), SimDuration time_cap = kDefaultLoadTimeCap,
-    std::uint64_t max_events = sim::Simulator::kDefaultEventCap);
+/// Runs one page load until the page finishes, `time_cap` of virtual time
+/// passes, `max_events` simulator events fire, or the event queue empties,
+/// and records which in PageLoadResult::stop. A deadlocked load still
+/// returns with the clock at the cap, so its PLT reads as time-capped.
+[[nodiscard]] PageLoadResult load_page(sim::Simulator& simulator, const web::Website& site,
+                                       PageLoader::SessionFactory factory, Rng rng,
+                                       SimDuration time_cap, std::uint64_t max_events);
 
 }  // namespace qperc::browser

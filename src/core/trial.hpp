@@ -26,9 +26,10 @@ namespace qperc::core {
 /// `site` and `protocol` are borrowed (the catalog and the protocol table
 /// outlive every trial); `profile` is stored by value because the profile
 /// factories return temporaries. Results are deterministic in
-/// (site, protocol, profile, contention, seed) — trace and max_events never
-/// alter scheduling or RNG draws, and a default (disabled) contention config
-/// performs zero extra draws, so single-flow goldens are bit-exact.
+/// (site, protocol, profile, contention, seed, time_cap) — trace and
+/// max_events never alter scheduling or RNG draws, and a default (disabled)
+/// contention config performs zero extra draws, so single-flow goldens are
+/// bit-exact.
 struct TrialSpec {
   const web::Website* site = nullptr;
   const ProtocolConfig* protocol = nullptr;
@@ -43,6 +44,8 @@ struct TrialSpec {
   /// Hard cap on simulator events for this trial (a runaway guard the
   /// campaign runner can tighten); the page load stops when it is exhausted.
   std::uint64_t max_events = sim::Simulator::kDefaultEventCap;
+  /// Virtual-time cap on the page load; an unfinished page reports it as PLT.
+  SimDuration time_cap = browser::kDefaultLoadTimeCap;
 
   TrialSpec() = default;
   TrialSpec(const web::Website& site_ref, const ProtocolConfig& protocol_ref,
@@ -60,6 +63,10 @@ struct TrialSpec {
   }
   TrialSpec&& with_max_events(std::uint64_t cap) && {
     max_events = cap;
+    return std::move(*this);
+  }
+  TrialSpec&& with_time_cap(SimDuration cap) && {
+    time_cap = cap;
     return std::move(*this);
   }
   TrialSpec&& with_contention(net::ContentionConfig config) && {

@@ -64,9 +64,9 @@ browser::PageLoadResult TrialContext::run(const TrialSpec& spec,
       };
       break;
   }
-  browser::PageLoadResult result = browser::load_page(
-      simulator_, *spec.site, std::move(factory), rng.fork("browser"),
-      browser::kDefaultLoadTimeCap, spec.max_events);
+  browser::PageLoadResult result =
+      browser::load_page(simulator_, *spec.site, std::move(factory), rng.fork("browser"),
+                         spec.time_cap, spec.max_events);
 
   if (contention != nullptr && cross.has_value()) {
     const SimTime end = simulator_.now();

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/trial_context.hpp"
 #include "runner/executor.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +26,7 @@ std::uint64_t condition_base_seed(std::uint64_t catalog_seed, std::string_view s
 Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
                     const net::NetworkProfile& profile, std::uint32_t runs,
                     std::uint64_t base_seed, trace::TraceSink* trace) {
+  if (runs == 0) throw std::invalid_argument("produce_video: runs must be at least 1");
   Video video;
   video.site = site.name;
   video.protocol = protocol.name;
@@ -34,10 +36,11 @@ Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
   const Rng seeder(base_seed);
   std::vector<browser::PageLoadResult> results;
   results.reserve(runs);
+  TrialContext context;
   for (std::uint32_t run = 0; run < runs; ++run) {
     Rng run_rng = seeder.fork(run + 1);
-    results.push_back(
-        run_trial(TrialSpec(site, protocol, profile, run_rng.next_u64()).with_trace(trace)));
+    results.push_back(context.run(
+        TrialSpec(site, protocol, profile, run_rng.next_u64()).with_trace(trace)));
   }
 
   // Per-condition means of every metric.

@@ -43,7 +43,8 @@ struct Video {
                                                 std::string_view protocol,
                                                 net::NetworkKind network);
 
-/// Records `runs` trials and picks the typical one (closest-to-mean PLT).
+/// Records `runs` trials on one reused TrialContext and picks the typical one
+/// (closest-to-mean PLT). Throws std::invalid_argument when `runs` is 0.
 /// An optional trace sink observes every trial's event stream (aggregate
 /// counters, debugging); tracing never alters scheduling or RNG draws, so
 /// the returned Video is bit-identical with or without it.

@@ -192,7 +192,8 @@ void QuicConnection::emit(bool from_client, QuicPacket packet) {
   for (const auto& frame : packet.frames) payload += frame.length + kStreamFrameOverhead;
   // ACK-range encoding cost: ~5 bytes per range actually carried.
   payload += static_cast<std::uint32_t>(packet.ack_ranges.size()) * 5 +
-             static_cast<std::uint32_t>(packet.window_updates.size()) * 8;
+             static_cast<std::uint32_t>(packet.window_updates.size() + packet.blocked) *
+                 kControlFrameBytes;
 
   net::Packet wire;
   wire.flow = flow_;

@@ -42,6 +42,8 @@ inline constexpr std::uint32_t kQuicOverheadBytes = 30;
 inline constexpr std::uint32_t kUdpIpOverheadBytes = 28;
 /// Framing overhead per stream frame inside a packet.
 inline constexpr std::uint32_t kStreamFrameOverhead = 8;
+/// Wire size of a window update or BLOCKED frame.
+inline constexpr std::uint32_t kControlFrameBytes = 8;
 /// Wire size of a padded handshake packet.
 inline constexpr std::uint32_t kHandshakePacketWireBytes = 1392;
 
@@ -59,6 +61,9 @@ struct QuicPacket final : net::Payload {
 
   std::uint64_t packet_number = 0;
   bool ack_eliciting = false;
+  /// BLOCKED frame: the sender is flow-control blocked with nothing in
+  /// flight. The peer answers with its current limits.
+  bool blocked = false;
   ArenaVec<StreamFrame> frames;
 
   bool has_ack = false;

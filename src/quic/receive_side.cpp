@@ -83,6 +83,21 @@ void QuicReceiveSide::on_packet(const QuicPacket& packet) {
     for (const auto& frame : packet.frames) on_stream_frame(frame);
   }
 
+  if (packet.blocked) {
+    // The peer is stalled on credit it never received (a window update rode
+    // a lost ACK-only packet): re-advertise the limits of every unfinished
+    // stream and of the connection. The sender keeps the max, so repeats
+    // are harmless.
+    for (const auto& [id, stream] : streams_) {
+      if (stream.contiguous != stream.fin_offset) {
+        pending_window_updates_.push_back(simulator_.arena(),
+                                          WindowUpdate{id, stream.advertised_limit});
+      }
+    }
+    pending_window_updates_.push_back(simulator_.arena(),
+                                      WindowUpdate{0, connection_advertised_});
+  }
+
   if (packet.ack_eliciting) {
     ++ack_eliciting_since_ack_;
     const bool immediate = out_of_order || !pending_window_updates_.empty() ||

@@ -73,16 +73,15 @@ ArenaVec<StreamFrame> QuicSendSide::build_frames(std::uint32_t budget,
                                                  bool& is_retransmission) {
   ArenaVec<StreamFrame> frames;
   is_retransmission = false;
-  // Nothing queued and no stream with unsent data or FIN: skip the scan.
-  // With a trace sink attached the scan still runs so the flow-control
-  // stall bookkeeping below sees every transition.
-  if (retransmit_queue_.empty() && pending_streams_ == 0 &&
-      simulator_.trace() == nullptr) {
+  // Nothing queued and no stream with unsent data or FIN: skip the scan
+  // (no stream can be flow-control blocked either).
+  if (retransmit_queue_.empty() && pending_streams_ == 0) {
 #if QPERC_INVARIANTS_ENABLED
     for (const auto& [id, stream] : streams_) {
       QPERC_DCHECK(!stream_pending(stream)) << "pending_streams_ undercounts";
     }
 #endif
+    note_flow_control(false, 0);
     return frames;
   }
   bool fc_blocked_seen = false;
@@ -166,26 +165,26 @@ ArenaVec<StreamFrame> QuicSendSide::build_frames(std::uint32_t budget,
     frames.push_back(simulator_.arena(), frame);
   }
 
-  // Flow-control stall accounting (trace-only: skipped entirely without a
-  // sink so untraced runs never touch the members).
-  if (simulator_.trace() != nullptr) {
-    if (fc_blocked_seen && !fc_blocked_) {
-      fc_blocked_ = true;
-      fc_blocked_since_ = simulator_.now();
-      simulator_.trace_event(trace::EventType::kStreamBlocked, trace_endpoint_, trace_flow_,
-                             fc_blocked_stream);
-    } else if (!fc_blocked_seen && fc_blocked_) {
-      fc_blocked_ = false;
-      simulator_.trace_event(
-          trace::EventType::kStreamUnblocked, trace_endpoint_, trace_flow_, /*id=*/0,
-          /*bytes=*/0,
-          static_cast<std::uint64_t>((simulator_.now() - fc_blocked_since_).count()));
-    }
-  }
+  note_flow_control(fc_blocked_seen, fc_blocked_stream);
   return frames;
 }
 
-void QuicSendSide::maybe_send() {
+void QuicSendSide::note_flow_control(bool blocked, std::uint64_t stream) {
+  if (blocked == fc_blocked_) return;
+  fc_blocked_ = blocked;
+  if (blocked) {
+    fc_blocked_since_ = simulator_.now();
+    simulator_.trace_event(trace::EventType::kStreamBlocked, trace_endpoint_, trace_flow_,
+                           stream);
+  } else {
+    simulator_.trace_event(
+        trace::EventType::kStreamUnblocked, trace_endpoint_, trace_flow_, /*id=*/0,
+        /*bytes=*/0,
+        static_cast<std::uint64_t>((simulator_.now() - fc_blocked_since_).count()));
+  }
+}
+
+void QuicSendSide::maybe_send(bool may_probe) {
   if (!established_) return;
   while (true) {
     QPERC_DCHECK_GE(cc_->congestion_window(), config_.max_payload_bytes)
@@ -205,6 +204,7 @@ void QuicSendSide::maybe_send() {
     auto frames = build_frames(config_.max_payload_bytes, is_retransmission);
     if (frames.empty()) {
       sampler_.on_app_limited();
+      if (may_probe) arm_blocked_probe();
       return;
     }
     transmit(std::move(frames), is_retransmission);
@@ -366,7 +366,7 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   }
 
   rearm_timer();
-  maybe_send();
+  maybe_send(/*may_probe=*/false);
 }
 
 void QuicSendSide::on_window_updates(const QuicPacket& packet) {
@@ -461,6 +461,15 @@ void QuicSendSide::rearm_timer() {
   loss_or_pto_timer_.set_in(probe_timeout());
 }
 
+void QuicSendSide::arm_blocked_probe() {
+  if (!fc_blocked_ || !unacked_.empty() || !retransmit_queue_.empty() ||
+      loss_or_pto_timer_.is_armed()) {
+    return;
+  }
+  timer_is_loss_ = false;
+  loss_or_pto_timer_.set_in(probe_timeout());
+}
+
 void QuicSendSide::on_timer() {
   if (timer_is_loss_) {
     loss_deadline_ = kNoTime;
@@ -502,8 +511,18 @@ void QuicSendSide::on_timer() {
     bool is_retx = false;
     auto frames = build_frames(config_.max_payload_bytes, is_retx);
     if (!frames.empty()) transmit(std::move(frames), true);
+  } else if (fc_blocked_) {
+    // RFC 9000 §4.1 / gQUIC BLOCKED: an ack-eliciting probe the peer
+    // answers with its current limits. Not tracked as unacked; the re-armed
+    // PTO below repeats it, with backoff, until credit arrives.
+    QuicPacket probe;
+    probe.packet_number = next_packet_number_++;
+    probe.ack_eliciting = true;
+    probe.blocked = true;
+    emit_(std::move(probe));
   }
   rearm_timer();
+  arm_blocked_probe();
 }
 
 }  // namespace qperc::quic

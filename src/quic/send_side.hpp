@@ -46,7 +46,9 @@ class QuicSendSide {
   void write_stream(std::uint64_t stream_id, std::uint64_t bytes, bool fin,
                     std::uint8_t priority);
 
-  /// Processes an ACK frame (ranges of received packet numbers).
+  /// Processes an ACK frame (ranges of received packet numbers). Follow it
+  /// with on_window_updates for the same packet: only that call may arm
+  /// the BLOCKED probe.
   void on_ack_frame(const QuicPacket& packet);
   /// Processes MAX_DATA / MAX_STREAM_DATA credit from the peer.
   void on_window_updates(const QuicPacket& packet);
@@ -96,7 +98,10 @@ class QuicSendSide {
            (stream.fin && !stream.fin_packetized);
   }
 
-  void maybe_send();
+  /// `may_probe` is false only inside on_ack_frame: the packet's window
+  /// updates are applied right after, and arming the BLOCKED probe before
+  /// them would schedule it for a stall that those updates end.
+  void maybe_send(bool may_probe = true);
   /// Assembles the next data packet; empty frames vector == nothing to send.
   [[nodiscard]] ArenaVec<StreamFrame> build_frames(std::uint32_t budget,
                                                    bool& is_retransmission);
@@ -105,6 +110,12 @@ class QuicSendSide {
   void requeue_lost(UnackedPacket& packet);
   void enter_recovery_if_needed(std::uint64_t lost_pn);
   void rearm_timer();
+  /// Records whether the last scheduling pass found data it may not send
+  /// for lack of flow-control credit.
+  void note_flow_control(bool blocked, std::uint64_t stream);
+  /// Flow-control blocked with nothing retransmittable: no ACK will come to
+  /// deliver the credit, so arm the PTO to send a BLOCKED probe.
+  void arm_blocked_probe();
   void on_timer();
   [[nodiscard]] SimDuration probe_timeout() const;
 
@@ -164,14 +175,17 @@ class QuicSendSide {
 
   sim::Timer send_timer_;
 
+  /// Inside a flow-control stall: the last scheduling pass had data waiting
+  /// on peer credit.
+  bool fc_blocked_ = false;
+  SimTime fc_blocked_since_{0};
+
   // Trace-only state (touched exclusively when a sink is attached, so
   // untraced runs are bit-identical).
   std::uint64_t trace_flow_ = 0;
   trace::Endpoint trace_endpoint_ = trace::Endpoint::kNone;
   std::set<std::uint64_t, std::less<std::uint64_t>, ArenaAllocator<std::uint64_t>>
       traced_lost_pns_;  // declared lost; ack later = spurious
-  bool fc_blocked_ = false;                  // inside a flow-control stall
-  SimTime fc_blocked_since_{0};
 };
 
 }  // namespace qperc::quic

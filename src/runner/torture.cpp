@@ -2,16 +2,12 @@
 
 #include <array>
 #include <exception>
-#include <optional>
 #include <ostream>
 #include <utility>
 
 #include "browser/page_loader.hpp"
-#include "core/cross_traffic.hpp"
 #include "core/protocol.hpp"
-#include "http/session.hpp"
-#include "net/emulated_network.hpp"
-#include "sim/simulator.hpp"
+#include "core/trial_context.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "web/website.hpp"
@@ -39,87 +35,6 @@ class HandlerGuard {
  private:
   check::ViolationHandler previous_;
 };
-
-/// Virtual-time cap per torture trial. Shorter than the study cap: heavily
-/// impaired loads legitimately outlive any deadline (counted as incomplete,
-/// not failed), and liveness is guarded by the event budget, not the clock.
-constexpr SimDuration kTortureTimeCap = seconds(90);
-
-struct TrialOutcome {
-  browser::PageLoadResult result;
-  bool budget_exhausted = false;
-  bool deadlocked = false;
-};
-
-TrialOutcome run_torture_trial(const web::Website& site, const core::ProtocolConfig& protocol,
-                               const net::NetworkProfile& profile,
-                               const net::ContentionConfig& contention, std::uint64_t seed,
-                               std::uint64_t max_events) {
-  profile.validate();
-  contention.validate();
-  sim::Simulator simulator;
-  Rng rng(seed);
-  net::EmulatedNetwork network(simulator, profile, rng.fork("network"), contention);
-
-  // Same ordering as TrialContext::run: cross traffic first, so its flow
-  // ids, endpoints, and start events all precede the browser's.
-  std::optional<core::CrossTraffic> cross;
-  if (contention.enabled()) {
-    cross.emplace(simulator, network, contention, rng.fork("contention"));
-  }
-
-  // Configs hoisted so the SmallFunction factory captures only references
-  // (see TrialContext::run); both outlive the loader below.
-  const tcp::TcpConfig tcp_config = protocol.transport != core::Transport::kQuic
-                                        ? protocol.tcp_config()
-                                        : tcp::TcpConfig{};
-  const quic::QuicConfig quic_config = protocol.transport == core::Transport::kQuic
-                                           ? protocol.quic_config()
-                                           : quic::QuicConfig{};
-  browser::PageLoader::SessionFactory factory;
-  switch (protocol.transport) {
-    case core::Transport::kTcp:
-      factory = [&simulator, &network, &tcp_config](net::ServerId origin) {
-        return http::make_h2_session(simulator, network, origin, tcp_config);
-      };
-      break;
-    case core::Transport::kQuic:
-      factory = [&simulator, &network, &quic_config](net::ServerId origin) {
-        return http::make_quic_session(simulator, network, origin, quic_config);
-      };
-      break;
-    case core::Transport::kTcpH1:
-      factory = [&simulator, &network, &tcp_config](net::ServerId origin) {
-        return http::make_h1_session(simulator, network, origin, tcp_config);
-      };
-      break;
-  }
-
-  // Mirrors browser::load_page, but keeps the simulator visible so the
-  // harness can tell the three ways a trial can stop short apart: time cap
-  // (fine), event-budget exhaustion (hung), empty queue with an unfinished
-  // page (deadlock — every recovery timer has been dropped).
-  browser::PageLoader loader(simulator, site, std::move(factory), rng.fork("browser"));
-  loader.start();
-  TrialOutcome outcome;
-  const SimTime deadline = simulator.now() + kTortureTimeCap;
-  const std::uint64_t events_at_start = simulator.events_processed();
-  while (!loader.finished() && simulator.now() < deadline) {
-    const std::uint64_t spent = simulator.events_processed() - events_at_start;
-    if (spent >= max_events) {
-      outcome.budget_exhausted = true;
-      break;
-    }
-    if (simulator.pending_events() == 0) {
-      outcome.deadlocked = true;
-      break;
-    }
-    const SimTime next = std::min(deadline, simulator.now() + milliseconds(200));
-    simulator.run_until(next, max_events - spent);
-  }
-  outcome.result = loader.result();
-  return outcome;
-}
 
 void add_failure(TortureReport& report, std::size_t cap, std::string line) {
   if (report.failures.size() < cap) report.failures.push_back(std::move(line));
@@ -175,40 +90,33 @@ std::vector<TortureScenario> torture_scenarios(const net::NetworkProfile& base) 
 
 std::vector<TortureScenario> contention_scenarios(const net::NetworkProfile& base) {
   std::vector<TortureScenario> scenarios;
+  const auto derive = [&](std::string name, auto mutate) {
+    TortureScenario scenario{name, base, {}};
+    scenario.profile.name = std::string(base.name) + "/" + name;
+    mutate(scenario.profile.impairments, scenario.contention);
+    scenario.profile.validate();
+    scenario.contention.validate();
+    scenarios.push_back(std::move(scenario));
+  };
 
   // 8 cubic bulk flows saturating an otherwise clean bottleneck: droptail
   // pressure, sustained queue-full drops, and heavy page retransmissions.
-  {
-    TortureScenario scenario;
-    scenario.name = "contended-8cubic";
-    scenario.profile = base;
-    scenario.profile.name = std::string(base.name) + "/" + scenario.name;
-    scenario.contention.flows = 8;
-    scenario.contention.mix = net::CrossMix::kCubic;
-    scenario.profile.validate();
-    scenario.contention.validate();
-    scenarios.push_back(std::move(scenario));
-  }
-
+  derive("contended-8cubic", [](net::LinkImpairments& /*imp*/, net::ContentionConfig& crowd) {
+    crowd.flows = 8;
+    crowd.mix = net::CrossMix::kCubic;
+  });
   // Reordering layered over a mixed TCP/QUIC on-off crowd: loss recovery,
   // reorder buffers, and endpoint demux all churn at once.
-  {
-    TortureScenario scenario;
-    scenario.name = "reorder-contended";
-    scenario.profile = base;
-    scenario.profile.name = std::string(base.name) + "/" + scenario.name;
-    scenario.profile.impairments.reorder_rate = 0.35;
-    scenario.profile.impairments.reorder_delay_min = milliseconds(2);
-    scenario.profile.impairments.reorder_delay_max = milliseconds(40);
-    scenario.contention.flows = 4;
-    scenario.contention.mix = net::CrossMix::kMixed;
-    scenario.contention.start_stagger = milliseconds(250);
-    scenario.contention.burst_bytes = 256 * 1024;
-    scenario.contention.off_time = milliseconds(100);
-    scenario.profile.validate();
-    scenario.contention.validate();
-    scenarios.push_back(std::move(scenario));
-  }
+  derive("reorder-contended", [](net::LinkImpairments& imp, net::ContentionConfig& crowd) {
+    imp.reorder_rate = 0.35;
+    imp.reorder_delay_min = milliseconds(2);
+    imp.reorder_delay_max = milliseconds(40);
+    crowd.flows = 4;
+    crowd.mix = net::CrossMix::kMixed;
+    crowd.start_stagger = milliseconds(250);
+    crowd.burst_bytes = 256 * 1024;
+    crowd.off_time = milliseconds(100);
+  });
   return scenarios;
 }
 
@@ -283,52 +191,38 @@ TortureReport run_torture(const TortureOptions& options, std::ostream* progress)
   std::vector<const core::ProtocolConfig*> protocols;
   if (small) {
     // One representative per stack; the full grid covers every Table-1 row.
-    const core::ProtocolConfig* tcp = nullptr;
-    const core::ProtocolConfig* quic = nullptr;
-    for (const auto& protocol : core::paper_protocols()) {
-      if (tcp == nullptr && protocol.transport == core::Transport::kTcp) tcp = &protocol;
-      if (quic == nullptr && protocol.transport == core::Transport::kQuic) quic = &protocol;
-    }
-    protocols = {tcp, quic};
+    protocols = {&core::protocol_by_name("TCP"), &core::protocol_by_name("QUIC")};
   } else {
     for (const auto& protocol : core::paper_protocols()) protocols.push_back(&protocol);
     protocols.push_back(&core::http1_baseline_protocol());
   }
 
   std::vector<TortureScenario> scenarios;
+  const auto append = [&scenarios](std::vector<TortureScenario> more) {
+    for (auto& scenario : more) scenarios.push_back(std::move(scenario));
+  };
   if (small) {
-    for (const auto& scenario : torture_scenarios(net::dsl_profile())) {
-      scenarios.push_back(scenario);
-    }
-    for (const auto& scenario : torture_scenarios(net::mss_profile())) {
-      scenarios.push_back(scenario);
-    }
+    append(torture_scenarios(net::dsl_profile()));
+    append(torture_scenarios(net::mss_profile()));
   } else {
-    for (const auto& base : net::all_profiles()) {
-      for (const auto& scenario : torture_scenarios(base)) scenarios.push_back(scenario);
-    }
+    for (const auto& base : net::all_profiles()) append(torture_scenarios(base));
   }
   scenarios.push_back(TortureScenario{"zero-delay", zero_delay_profile()});
-  for (const auto& scenario : contention_scenarios(net::dsl_profile())) {
-    scenarios.push_back(scenario);
-  }
+  append(contention_scenarios(net::dsl_profile()));
   // Variable-rate/policing cells run in both grids: the serialization
   // re-derivation and policer accounting are new enough to earn small-grid
   // coverage on the paper's cellular profile.
-  for (const auto& scenario : schedule_scenarios(net::lte_profile())) {
-    scenarios.push_back(scenario);
-  }
+  append(schedule_scenarios(net::lte_profile()));
   if (!small) {
-    for (const auto& scenario : contention_scenarios(net::lte_profile())) {
-      scenarios.push_back(scenario);
-    }
-    for (const auto& scenario : schedule_scenarios(net::dsl_profile())) {
-      scenarios.push_back(scenario);
-    }
+    append(contention_scenarios(net::lte_profile()));
+    append(schedule_scenarios(net::dsl_profile()));
   }
 
   TortureReport report;
   HandlerGuard handler_guard;
+  // The campaigns' own kernel, reused across the grid exactly as campaign
+  // workers reuse it (Simulator::reset between trials included).
+  core::TrialContext context;
   for (const auto& scenario : scenarios) {
     for (const auto* protocol : protocols) {
       const std::uint64_t violations_before_row = report.check_violations;
@@ -341,28 +235,30 @@ TortureReport run_torture(const TortureOptions& options, std::ostream* progress)
         ++report.trials;
         g_violations = 0;
         try {
-          const TrialOutcome outcome =
-              run_torture_trial(*site, *protocol, scenario.profile, scenario.contention,
-                                seed, options.max_events_per_trial);
+          const browser::PageLoadResult result =
+              context.run(core::TrialSpec(*site, *protocol, scenario.profile, seed)
+                              .with_contention(scenario.contention)
+                              .with_max_events(options.max_events_per_trial)
+                              .with_time_cap(kTortureTimeCap));
           if (g_violations != 0) {
             report.check_violations += g_violations;
             add_failure(report, options.max_failures_reported,
                         label + ": " + std::to_string(g_violations) + " CHECK violation(s)");
           }
-          if (outcome.budget_exhausted || outcome.deadlocked) {
+          if (result.stop == browser::StopReason::kEventBudget ||
+              result.stop == browser::StopReason::kDeadlock) {
             ++report.hung_trials;
-            if (outcome.deadlocked) ++report.deadlocks;
+            const bool deadlocked = result.stop == browser::StopReason::kDeadlock;
+            if (deadlocked) ++report.deadlocks;
             add_failure(report, options.max_failures_reported,
-                        label + (outcome.deadlocked
-                                     ? ": DEADLOCK (empty event queue, page unfinished)"
-                                     : ": HUNG (event budget exhausted)"));
-          } else if (!outcome.result.metrics.finished) {
+                        label + (deadlocked ? ": DEADLOCK (empty event queue, page unfinished)"
+                                            : ": HUNG (event budget exhausted)"));
+          } else if (result.stop == browser::StopReason::kTimeCap) {
             ++report.incomplete_pages;
           }
           for (const auto& object : site->objects) {
-            const std::uint64_t delivered = outcome.result.object_body_delivered[object.id];
-            const bool complete =
-                outcome.result.object_complete_at[object.id] != kNoTime;
+            const std::uint64_t delivered = result.object_body_delivered[object.id];
+            const bool complete = result.object_complete_at[object.id] != kNoTime;
             if (delivered > object.bytes || (complete && delivered != object.bytes)) {
               ++report.conservation_failures;
               add_failure(report, options.max_failures_reported,

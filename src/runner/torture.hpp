@@ -25,6 +25,7 @@
 
 #include "net/contention.hpp"
 #include "net/profile.hpp"
+#include "util/time.hpp"
 
 namespace qperc::runner {
 
@@ -61,6 +62,12 @@ struct TortureScenario {
 /// serialization: every RTT sample collapses toward 0 ticks (the
 /// RttEstimator positivity regression).
 [[nodiscard]] net::NetworkProfile zero_delay_profile();
+
+/// Virtual-time cap per torture trial (core::TrialSpec::time_cap). Shorter
+/// than the study cap: heavily impaired loads legitimately outlive any
+/// deadline (counted as incomplete, not failed), and liveness is guarded by
+/// the event budget and the deadlock check, not the clock.
+inline constexpr SimDuration kTortureTimeCap = seconds(90);
 
 struct TortureOptions {
   std::uint64_t seed = 1;

@@ -1,6 +1,8 @@
 // Browser tests: metric computation and the page-load engine.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "browser/metrics.hpp"
 #include "browser/page_loader.hpp"
 #include "core/protocol.hpp"
@@ -229,6 +231,34 @@ TEST(PageLoader, DifferentSeedsDifferOnLossyNetworks) {
   const auto a = core::run_trial(core::TrialSpec(catalog[6], protocol, net::mss_profile(), 1));
   const auto b = core::run_trial(core::TrialSpec(catalog[6], protocol, net::mss_profile(), 2));
   EXPECT_NE(a.metrics.plt_ms(), b.metrics.plt_ms());
+}
+
+/// Accepts every request and never answers, never connects, and never
+/// schedules an event: the loader is left waiting on an empty event queue.
+class SilentSession final : public http::Session {
+ public:
+  void start() override {}
+  void submit(const http::Request& /*request*/, ProgressFn /*on_progress*/) override {}
+  [[nodiscard]] net::TransportStats stats() const override { return {}; }
+  [[nodiscard]] bool established() const override { return false; }
+  void set_on_established(SmallFunction<void()> /*cb*/) override {}
+};
+
+TEST(PageLoader, EmptyEventQueueIsReportedAsDeadlock) {
+  const auto site = tiny_site();
+  sim::Simulator simulator;
+  const auto result = load_page(
+      simulator, site,
+      [](net::ServerId) -> std::unique_ptr<http::Session> {
+        return std::make_unique<SilentSession>();
+      },
+      Rng(1), seconds(3), sim::Simulator::kDefaultEventCap);
+  EXPECT_EQ(result.stop, StopReason::kDeadlock);
+  EXPECT_FALSE(result.metrics.finished);
+  EXPECT_EQ(result.object_complete_at[0], kNoTime);
+  // The clock still runs out the cap: the partial PLT reads as time-capped.
+  EXPECT_EQ(simulator.now(), SimTime{seconds(3)});
+  EXPECT_EQ(result.metrics.page_load_time, seconds(3));
 }
 
 }  // namespace

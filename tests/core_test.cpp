@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/protocol.hpp"
 #include "core/video.hpp"
@@ -92,6 +93,10 @@ TEST(Video, DeterministicForSameInputs) {
       produce_video(site, protocol_by_name("TCP"), net::dsl_profile(), 5, 99);
   EXPECT_DOUBLE_EQ(a.metrics.si_ms(), b.metrics.si_ms());
   EXPECT_DOUBLE_EQ(a.mean_metrics.plt_ms(), b.mean_metrics.plt_ms());
+  // Zero runs leave no typical trial to pick.
+  EXPECT_THROW(
+      static_cast<void>(produce_video(site, protocol_by_name("TCP"), net::dsl_profile(), 0, 99)),
+      std::invalid_argument);
 }
 
 TEST(VideoLibrary, CachesAndIsConsistent) {
@@ -253,11 +258,20 @@ TEST(TrialSpec, MaxEventsCapsTheTrial) {
   const auto full =
       run_trial(TrialSpec(site, protocol_by_name("QUIC"), net::lte_profile(), 42));
   ASSERT_TRUE(full.metrics.finished);
+  EXPECT_EQ(full.stop, browser::StopReason::kFinished);
   // A budget far below the ~hundreds of thousands of events a page load
   // needs must stop the trial early (and not hang or throw).
   const auto capped = run_trial(TrialSpec(site, protocol_by_name("QUIC"), net::lte_profile(), 42)
                                     .with_max_events(500));
   EXPECT_FALSE(capped.metrics.finished);
+  EXPECT_EQ(capped.stop, browser::StopReason::kEventBudget);
+  // A virtual-time cap shorter than the load stops it on the clock, and the
+  // partial PLT is the cap itself.
+  const auto timed = run_trial(TrialSpec(site, protocol_by_name("QUIC"), net::lte_profile(), 42)
+                                   .with_time_cap(milliseconds(50)));
+  EXPECT_FALSE(timed.metrics.finished);
+  EXPECT_EQ(timed.stop, browser::StopReason::kTimeCap);
+  EXPECT_EQ(timed.metrics.page_load_time, milliseconds(50));
 }
 
 TEST(TrialSpec, ExplicitlyDisabledContentionMatchesDefault) {

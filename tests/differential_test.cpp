@@ -4,9 +4,12 @@
 // The slice is apache.org, wikipedia.org and nytimes.com × all five Table 1
 // protocols × DSL/LTE/DA2GC/MSS × 2 seeds, plus wikipedia.org × {TCP, QUIC} ×
 // {DSL, LTE} against 16 mixed cross-traffic flows on a full droptail
-// bottleneck. Each cell's complete PageLoadResult (metrics, VC curve,
-// per-object completion times and body bytes, transport stats) and, for the
-// contended cells, its ContentionOutcome is compared across:
+// bottleneck, plus wikipedia.org × {TCP, QUIC} × the torture harness's
+// impairment cells (five DSL impairments, zero-delay, four LTE rate
+// schedules) under its time cap. Each cell's complete PageLoadResult
+// (metrics, VC curve, per-object completion times and body bytes, transport
+// stats, stop reason) and, for the contended cells, its ContentionOutcome is
+// compared across:
 //
 //   * a fresh, untraced TrialContext (the reference);
 //   * a fresh context with a MemorySink attached;
@@ -36,6 +39,7 @@
 #include "runner/campaign.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/result_store.hpp"
+#include "runner/torture.hpp"
 #include "trace/counters.hpp"
 #include "trace/memory_sink.hpp"
 #include "web/website.hpp"
@@ -67,21 +71,24 @@ const std::vector<Cell>& slice() {
   static const std::vector<Cell> cells = [] {
     std::vector<Cell> out;
     const auto add = [&out](const std::string& site, const core::ProtocolConfig& protocol,
-                            net::NetworkKind network, std::uint64_t seed,
-                            const net::ContentionConfig& contention) {
-      core::TrialSpec spec(site_named(site), protocol, net::profile_for(network), seed);
+                            const net::NetworkProfile& profile, std::uint64_t seed,
+                            const net::ContentionConfig& contention) -> core::TrialSpec& {
+      core::TrialSpec spec(site_named(site), protocol, profile, seed);
       spec.contention = contention;
       std::ostringstream label;
-      label << site << '/' << protocol.name << '/' << net::to_string(network) << "/seed "
-            << seed << "/flows " << contention.flows;
+      label << site << '/' << protocol.name << '/' << profile.name << "/seed " << seed
+            << "/flows " << contention.flows;
       out.push_back(Cell{label.str(), std::move(spec)});
+      return out.back().spec;
     };
     const net::NetworkKind networks[] = {net::NetworkKind::kDsl, net::NetworkKind::kLte,
                                          net::NetworkKind::kDa2gc, net::NetworkKind::kMss};
     for (const char* site : {"apache.org", "wikipedia.org", "nytimes.com"}) {
       for (const auto& protocol : core::paper_protocols()) {
         for (const auto network : networks) {
-          for (const std::uint64_t seed : {1, 2}) add(site, protocol, network, seed, {});
+          for (const std::uint64_t seed : {1, 2}) {
+            add(site, protocol, net::profile_for(network), seed, {});
+          }
         }
       }
     }
@@ -90,7 +97,22 @@ const std::vector<Cell>& slice() {
     mixed.mix = net::CrossMix::kMixed;
     for (const char* protocol : {"TCP", "QUIC"}) {
       for (const auto network : {net::NetworkKind::kDsl, net::NetworkKind::kLte}) {
-        add("wikipedia.org", core::protocol_by_name(protocol), network, 1, mixed);
+        add("wikipedia.org", core::protocol_by_name(protocol), net::profile_for(network), 1,
+            mixed);
+      }
+    }
+    // Torture cells, run the way `qperc torture` runs them (its time cap).
+    std::vector<runner::TortureScenario> torture =
+        runner::torture_scenarios(net::dsl_profile());
+    torture.push_back(runner::TortureScenario{"zero-delay", runner::zero_delay_profile()});
+    for (auto& scenario : runner::schedule_scenarios(net::lte_profile())) {
+      torture.push_back(std::move(scenario));
+    }
+    for (const char* protocol : {"TCP", "QUIC"}) {
+      for (const auto& scenario : torture) {
+        add("wikipedia.org", core::protocol_by_name(protocol), scenario.profile, 1,
+            scenario.contention)
+            .time_cap = runner::kTortureTimeCap;
       }
     }
     return out;
@@ -127,6 +149,7 @@ std::string bytes_of(const browser::PageLoadResult& result,
   put(out, result.object_body_delivered.size());
   for (const std::uint64_t b : result.object_body_delivered) put(out, b);
   put(out, result.connections_opened);
+  put(out, result.stop);
 
   put(out, contention.flows.size());
   for (const auto& flow : contention.flows) {

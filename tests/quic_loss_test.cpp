@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "quic/receive_side.hpp"
 #include "quic/send_side.hpp"
 #include "sim/simulator.hpp"
 
@@ -203,6 +204,59 @@ TEST(QuicSendSide, WindowUpdatesUnblockStreams) {
     for (const auto& frame : packet.frames) sent_bytes += frame.length;
   }
   EXPECT_GT(sent_bytes, 4'000u);
+}
+
+/// A sender and a receiver joined by a lossless 10 ms one-way channel each
+/// way, except that the first `window_updates_to_drop` receiver packets
+/// carrying window updates are lost. Receiver packets are ACK-only (never
+/// ack-eliciting, never retransmitted), exactly as a downloading client's.
+struct LoopbackHarness {
+  sim::Simulator simulator;
+  QuicSendSide sender;
+  QuicReceiveSide receiver;
+  int window_updates_to_drop = 0;
+  int window_updates_dropped = 0;
+
+  explicit LoopbackHarness(const QuicConfig& config)
+      : sender(simulator, config,
+               [this](QuicPacket packet) {
+                 const QuicPacket* wire = simulator.arena().create<QuicPacket>(std::move(packet));
+                 simulator.schedule_in(milliseconds(10),
+                                       [this, wire] { receiver.on_packet(*wire); });
+               }),
+        receiver(
+            simulator, config, [this] { send_ack(); },
+            [](std::uint64_t, std::uint64_t, bool) {}) {}
+
+  void send_ack() {
+    QuicPacket ack;
+    receiver.fill_ack(ack);
+    if (!ack.window_updates.empty() && window_updates_to_drop > 0) {
+      --window_updates_to_drop;
+      ++window_updates_dropped;
+      return;
+    }
+    const QuicPacket* wire = simulator.arena().create<QuicPacket>(std::move(ack));
+    simulator.schedule_in(milliseconds(10), [this, wire] {
+      sender.on_ack_frame(*wire);
+      sender.on_window_updates(*wire);
+    });
+  }
+};
+
+TEST(QuicFlowControl, LostWindowUpdateDoesNotDeadlockTheSender) {
+  QuicConfig config;
+  config.stream_flow_window_bytes = 4'000;
+  LoopbackHarness harness(config);
+  harness.window_updates_to_drop = 1;
+  harness.sender.on_established(milliseconds(20));
+  harness.sender.write_stream(5, 20'000, true, 1);
+  harness.simulator.run_until(SimTime(seconds(10)));
+  EXPECT_EQ(harness.window_updates_dropped, 1);
+  // Every byte in flight was acknowledged before the sender hit the stream
+  // limit, so only a BLOCKED probe can recover the lost credit.
+  EXPECT_EQ(harness.receiver.stream_delivered(5), 20'000u);
+  EXPECT_EQ(harness.sender.bytes_in_flight(), 0u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -108,6 +109,18 @@ const net::NetworkProfile& network_by_name(const std::string& name) {
     if (profile.name == name) return profile;
   }
   throw std::invalid_argument("unknown network '" + name + "' (DSL, LTE, DA2GC, MSS)");
+}
+
+/// --runs as a trial count: at least one, and small enough for std::uint32_t
+/// (a larger value would silently wrap, 2^32 to zero).
+std::uint32_t runs_arg(const Args& args, std::uint32_t fallback) {
+  const std::uint64_t runs = args.get_u64("runs", fallback);
+  if (runs == 0 || runs > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--runs expects 1.." +
+                                std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+                                ", got " + std::to_string(runs));
+  }
+  return static_cast<std::uint32_t>(runs);
 }
 
 std::vector<web::Website> resolve_catalog(const Args& args) {
@@ -352,8 +365,7 @@ int cmd_trial(const Args& args) {
 }
 
 int cmd_video(const Args& args) {
-  core::VideoLibrary library(args.get_u64("seed", 7),
-                             static_cast<std::uint32_t>(args.get_u64("runs", 31)));
+  core::VideoLibrary library(args.get_u64("seed", 7), runs_arg(args, 31));
   const auto& profile = network_by_name(args.get("network", "DSL"));
   const auto& video = library.get(args.get("site", "wikipedia.org"),
                                   args.get("protocol", "QUIC"), profile.kind);
@@ -379,8 +391,7 @@ study::Group parse_group(const std::string& name) {
 }
 
 int cmd_study(const Args& args) {
-  core::VideoLibrary library(args.get_u64("seed", 7),
-                             static_cast<std::uint32_t>(args.get_u64("runs", 31)));
+  core::VideoLibrary library(args.get_u64("seed", 7), runs_arg(args, 31));
   const auto group = parse_group(args.get("group", "uworker"));
   const std::size_t site_budget = args.get_u64("sites", 36);
   const bool lab_only = site_budget <= web::lab_study_domains().size();
@@ -483,7 +494,7 @@ population::StudySpec population_spec_from_args(const Args& args) {
   spec.participants = args.get_u64("participants", 10000);
   spec.seed = args.get_u64("seed", 7);
   spec.sites = args.get_u64("sites", 36);
-  spec.video_runs = static_cast<std::uint32_t>(args.get_u64("runs", 31));
+  spec.video_runs = runs_arg(args, 31);
   spec.videos_work = args.get_u64("videos-work", 11);
   spec.videos_free_time = args.get_u64("videos-free", 11);
   spec.videos_plane = args.get_u64("videos-plane", 5);
@@ -743,7 +754,7 @@ int cmd_study_report(const Args& args) {
 runner::CampaignSpec spec_from_args(const Args& args) {
   runner::CampaignSpec spec;
   spec.seed = args.get_u64("seed", 7);
-  spec.runs = static_cast<std::uint32_t>(args.get_u64("runs", 31));
+  spec.runs = runs_arg(args, 31);
 
   const std::size_t site_budget = args.get_u64("sites", 36);
   for (const auto& site : web::study_catalog(spec.seed)) {
@@ -953,7 +964,7 @@ double parse_double_field(const std::string& text, const char* flag) {
 runner::FairnessSpec fairness_spec_from_args(const Args& args) {
   runner::FairnessSpec spec;
   spec.seed = args.get_u64("seed", 7);
-  spec.runs = static_cast<std::uint32_t>(args.get_u64("runs", 5));
+  spec.runs = runs_arg(args, 5);
 
   const auto catalog = web::study_catalog(spec.seed);
   if (args.has("sites")) {
