@@ -90,6 +90,7 @@ require_section() {
 require_section ARCHITECTURE.md "Simulator internals"
 require_section ARCHITECTURE.md "Determinism contract"
 require_section ARCHITECTURE.md "Correctness tooling"
+require_section ARCHITECTURE.md 'Durable files \(`src/util/durable_file.hpp`\)'
 require_section ARCHITECTURE.md 'Population-scale streaming studies \(`src/population`\)'
 require_section ARCHITECTURE.md "Shared-bottleneck contention & fairness"
 require_section ARCHITECTURE.md "Static analysis: the hot-path purity analyzer"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end exercise of `qperc study run` / `qperc study report`, the
 # population-scale streaming pipeline: job count must not change the exported
-# bytes, interrupt-then-resume must land on the uninterrupted bytes, shard
+# bytes, interrupt-then-resume must land on the uninterrupted bytes (and a
+# checkpoint with a tampered header must be refused), shard
 # splits merged by `study report` must land on the unsharded bytes, and the
 # CLI must reject malformed invocations.
 #
@@ -32,6 +33,15 @@ echo "== interrupt after 10 of 32 blocks, then --resume the rest"
 "$QPERC" study run "${SPEC[@]}" --jobs 2 --block-size 64 --resume \
   --out "$WORKDIR/resume" --export "$WORKDIR/resume.txt" --quiet > /dev/null
 cmp "$WORKDIR/ref.txt" "$WORKDIR/resume.txt"
+
+echo "== a checkpoint whose header blocks_done was rewound is refused, not resumed"
+"$QPERC" study run "${SPEC[@]}" --jobs 2 --block-size 64 --checkpoint-every 2 \
+  --max-blocks 10 --out "$WORKDIR/tamper" --quiet 2>&1 | grep -q "continue with --resume"
+sed -i '1s/ 10$/ 7/' "$WORKDIR"/tamper/*.qps
+head -n 1 "$WORKDIR"/tamper/*.qps | grep -q ' 7$'
+"$QPERC" study run "${SPEC[@]}" --jobs 2 --block-size 64 --resume \
+  --out "$WORKDIR/tamper" --export "$WORKDIR/tamper.txt" --quiet > /dev/null
+cmp "$WORKDIR/ref.txt" "$WORKDIR/tamper.txt"
 
 echo "== shard halves merge to the reference bytes"
 "$QPERC" study run "${SPEC[@]}" --shard 1/2 --jobs 2 --block-size 64 \

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/trial_context.hpp"
 #include "runner/executor.hpp"
+#include "util/durable_file.hpp"
 #include "util/rng.hpp"
 
 namespace qperc::core {
@@ -164,11 +163,16 @@ void VideoLibrary::precompute(const std::vector<std::string>& sites,
 
 namespace {
 
-// v2 added the LinkConditions token to the header (variable-rate links).
-constexpr const char* kCacheMagic = "qperc-video-cache-v2";
+constexpr const char* kCacheMagic = "qperc-video-cache-v3";
 /// Sanity cap when parsing: no recorded VC curve comes close to this many
 /// samples, so a larger count only ever means a corrupt file.
 constexpr std::size_t kMaxCurvePoints = 1'000'000;
+
+std::string cache_identity(std::uint64_t seed, std::uint32_t runs,
+                           const net::LinkConditions& conditions) {
+  return std::string(kCacheMagic) + ' ' + std::to_string(seed) + ' ' + std::to_string(runs) +
+         ' ' + conditions.token();
+}
 
 void write_metrics(std::ostream& os, const browser::PageMetrics& metrics) {
   os << metrics.first_visual_change.count() << ' ' << metrics.speed_index.count() << ' '
@@ -193,21 +197,6 @@ browser::PageMetrics read_metrics(std::istream& is) {
   return metrics;
 }
 
-}  // namespace
-
-void write_video_record(std::ostream& os, const Video& video) {
-  os.precision(17);
-  os << video.site << ' ' << video.protocol << ' ' << static_cast<int>(video.network)
-     << ' ' << video.runs << ' ' << video.mean_retransmissions << ' ';
-  write_metrics(os, video.metrics);
-  os << ' ';
-  write_metrics(os, video.mean_metrics);
-  os << ' ' << video.vc_curve.size();
-  for (const auto& sample : video.vc_curve) {
-    os << ' ' << sample.time.count() << ' ' << sample.completeness;
-  }
-}
-
 bool read_video_record(std::istream& is, Video& video) {
   int network = 0;
   std::size_t curve_points = 0;
@@ -230,60 +219,64 @@ bool read_video_record(std::istream& is, Video& video) {
   return static_cast<bool>(is);
 }
 
-bool VideoLibrary::load_cache(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string magic;
-  std::uint64_t seed = 0;
-  std::uint32_t runs = 0;
-  std::string trace_kind;
-  std::uint64_t trace_seed = 0;
-  std::uint64_t policer_bps = 0;
-  std::uint64_t policer_burst = 0;
+}  // namespace
+
+void write_video_record(std::ostream& os, const Video& video) {
+  os.precision(17);
+  os << video.site << ' ' << video.protocol << ' ' << static_cast<int>(video.network)
+     << ' ' << video.runs << ' ' << video.mean_retransmissions << ' ';
+  write_metrics(os, video.metrics);
+  os << ' ';
+  write_metrics(os, video.mean_metrics);
+  os << ' ' << video.vc_curve.size();
+  for (const auto& sample : video.vc_curve) {
+    os << ' ' << sample.time.count() << ' ' << sample.completeness;
+  }
+}
+
+void write_video_file(const std::string& path, const std::string& identity,
+                      const std::map<VideoKey, Video>& videos) {
+  std::ostringstream payload;
+  for (const auto& [key, video] : videos) {
+    write_video_record(payload, video);
+    payload << '\n';
+  }
+  write_durable(path, identity + ' ' + std::to_string(videos.size()), payload.str());
+}
+
+std::optional<std::map<VideoKey, Video>> read_video_file(const std::string& path,
+                                                         const std::string& identity) {
+  const auto file = read_durable(path, identity.substr(0, identity.find(' ')));
   std::size_t count = 0;
-  in >> magic >> seed >> runs >> trace_kind >> trace_seed >> policer_bps >>
-      policer_burst >> count;
-  const std::string cached_conditions = trace_kind + ' ' + std::to_string(trace_seed) +
-                                        ' ' + std::to_string(policer_bps) + ' ' +
-                                        std::to_string(policer_burst);
-  if (!in || magic != kCacheMagic || seed != catalog_seed_ || runs != runs_ ||
-      cached_conditions != conditions_.token()) {
-    return false;
+  if (!file || !file->header.starts_with(identity + ' ') ||
+      !(std::istringstream(file->header.substr(identity.size() + 1)) >> count)) {
+    return std::nullopt;
   }
-  // Parse into a staging map first: a truncated or corrupt file must not
-  // leave partially-loaded entries in the live cache, which precompute
-  // would then treat as valid and never recompute.
-  std::map<Key, Video> staged;
-  for (std::size_t i = 0; i < count; ++i) {
+  std::istringstream in(file->payload);
+  std::map<VideoKey, Video> videos;
+  std::string line;
+  for (std::size_t i = 0; i < count && std::getline(in, line); ++i) {
+    std::istringstream record(line);
     Video video;
-    if (!read_video_record(in, video)) return false;
-    const Key key{video.site, video.protocol, static_cast<int>(video.network)};
-    staged.insert_or_assign(key, std::move(video));
+    if (!read_video_record(record, video)) return std::nullopt;
+    VideoKey key{video.site, video.protocol, static_cast<int>(video.network)};
+    videos.insert_or_assign(std::move(key), std::move(video));
   }
-  for (auto& [key, video] : staged) cache_.insert_or_assign(key, std::move(video));
+  if (videos.size() != count || in.peek() != EOF) return std::nullopt;
+  return videos;
+}
+
+bool VideoLibrary::load_cache(const std::string& path) {
+  // Parsed fully before touching the live cache: a rejected file must not
+  // leave entries behind that precompute would treat as valid.
+  auto staged = read_video_file(path, cache_identity(catalog_seed_, runs_, conditions_));
+  if (!staged) return false;
+  for (auto& [key, video] : *staged) cache_.insert_or_assign(key, std::move(video));
   return true;
 }
 
 void VideoLibrary::save_cache(const std::string& path) const {
-  // Write to a sibling temp file and rename into place: an interrupted run
-  // can never leave a half-written cache that poisons later runs.
-  const std::string temp_path = path + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::trunc);
-    if (!out) return;
-    out << kCacheMagic << ' ' << catalog_seed_ << ' ' << runs_ << ' '
-        << conditions_.token() << ' ' << cache_.size() << '\n';
-    for (const auto& [key, video] : cache_) {
-      write_video_record(out, video);
-      out << '\n';
-    }
-    out.flush();
-    if (!out) {
-      std::remove(temp_path.c_str());
-      return;
-    }
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) std::remove(temp_path.c_str());
+  write_video_file(path, cache_identity(catalog_seed_, runs_, conditions_), cache_);
 }
 
 }  // namespace qperc::core

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -53,13 +54,25 @@ struct Video {
                                   std::uint64_t base_seed,
                                   trace::TraceSink* trace = nullptr);
 
+/// The (site, protocol, network) key both video stores sort by.
+using VideoKey = std::tuple<std::string, std::string, int>;
+
 /// Serializes one Video as a single whitespace-separated line (no trailing
-/// newline) — the record format shared by the VideoLibrary cache and the
-/// campaign runner's ResultStore.
+/// newline).
 void write_video_record(std::ostream& os, const Video& video);
-/// Parses one Video written by write_video_record. Returns false (contents
-/// of `video` unspecified) when the stream ends early or a field is invalid.
-[[nodiscard]] bool read_video_record(std::istream& is, Video& video);
+/// The file format shared by the VideoLibrary cache and the campaign
+/// runner's ResultStore (ARCHITECTURE.md, "Durable files"): a durable file
+/// whose header is `identity` (magic first) plus the record count, and
+/// whose payload is one write_video_record line per video, in key order.
+/// Throws std::runtime_error when the file cannot be written.
+void write_video_file(const std::string& path, const std::string& identity,
+                      const std::map<VideoKey, Video>& videos);
+/// Reads a file written by write_video_file with the same `identity`.
+/// Returns nullopt when the file fails the durable-file checks, the header
+/// differs, a record is malformed, the count is wrong, or two records share
+/// a key.
+[[nodiscard]] std::optional<std::map<VideoKey, Video>> read_video_file(
+    const std::string& path, const std::string& identity);
 
 /// Lazily computes and caches videos for the whole study grid; the cache is
 /// what both user studies draw their stimuli from.
@@ -99,18 +112,17 @@ class VideoLibrary {
   [[nodiscard]] const web::Website& site_by_name(const std::string& name) const;
 
   /// Loads previously saved videos; returns false (and leaves the cache
-  /// untouched — a truncated or corrupt file never contributes partial
-  /// entries) when the file is missing, malformed, or was produced with a
-  /// different (seed, runs) pair.
+  /// untouched) when the file fails the durable-file checks, is malformed,
+  /// or was produced with a different (seed, runs, conditions) identity.
   bool load_cache(const std::string& path);
-  /// Persists every cached video for reuse by later runs. The write is
-  /// atomic (temp file + rename), so an interrupted run cannot leave a
-  /// corrupt cache behind.
+  /// Persists every cached video for reuse by later runs as a durable file
+  /// (ARCHITECTURE.md, "Durable files"). Throws std::runtime_error when the
+  /// file cannot be written.
   void save_cache(const std::string& path) const;
   [[nodiscard]] std::size_t cached_conditions() const { return cache_.size(); }
 
  private:
-  using Key = std::tuple<std::string, std::string, int>;
+  using Key = VideoKey;
 
   std::uint64_t catalog_seed_ = 0;
   std::uint32_t runs_ = 0;

@@ -1,26 +1,15 @@
 #include "population/checkpoint.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
-#include "util/rng.hpp"
+#include "util/durable_file.hpp"
 
 namespace qperc::population {
 namespace {
 
-std::string checksum_hex(std::string_view payload) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << fnv1a(payload);
-  return os.str();
-}
-
-/// Serialises the integer accumulator state (everything after the header
-/// line, before the checksum footer). Deterministic bytes: fixed field
-/// order, integers only.
+/// Serialises the integer accumulator state (the durable file's payload).
+/// Deterministic bytes: fixed field order, integers only.
 std::string payload_for(const Accumulator& acc) {
   std::ostringstream os;
   os << "counts " << acc.participants << ' ' << acc.survivors << ' ' << acc.votes << '\n';
@@ -43,9 +32,9 @@ std::string payload_for(const Accumulator& acc) {
   return os.str();
 }
 
-/// Parses one payload line with the expected tag; returns the value stream.
-bool expect_tag(std::istream& in, std::string_view tag, std::istringstream& fields,
-                std::string& line) {
+/// Reads the next payload line into `fields` and consumes its expected tag.
+bool expect_tag(std::istream& in, std::string_view tag, std::istringstream& fields) {
+  std::string line;
   if (!std::getline(in, line)) return false;
   fields.clear();
   fields.str(line);
@@ -57,38 +46,33 @@ bool expect_tag(std::istream& in, std::string_view tag, std::istringstream& fiel
 }  // namespace
 
 std::optional<ShardState> read_shard(const std::string& path, const Accumulator& layout) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
-  std::istringstream header(line);
+  const auto file = read_durable(path, StudyStore::kMagic);
+  if (!file) return std::nullopt;
+  std::istringstream header(file->header);
   std::string magic;
   ShardState state;
   header >> magic >> state.fingerprint >> state.shard_index >> state.shard_count >>
       state.block_size >> state.blocks_done;
-  if (!header || magic != StudyStore::kMagic) return std::nullopt;
+  if (!header || state.shard_count == 0 || state.shard_index >= state.shard_count ||
+      state.block_size == 0) {
+    return std::nullopt;
+  }
 
-  // Re-read the payload verbatim for the checksum while parsing it.
-  std::string payload;
+  std::istringstream in(file->payload);
   std::istringstream fields;
   state.accumulator = layout;
   state.accumulator.reset_counts();
   Accumulator& acc = state.accumulator;
 
-  if (!expect_tag(in, "counts", fields, line)) return std::nullopt;
+  if (!expect_tag(in, "counts", fields)) return std::nullopt;
   fields >> acc.participants >> acc.survivors >> acc.votes;
   if (!fields) return std::nullopt;
-  payload += line;
-  payload += '\n';
 
-  if (!expect_tag(in, "removed", fields, line)) return std::nullopt;
+  if (!expect_tag(in, "removed", fields)) return std::nullopt;
   for (std::uint64_t& count : acc.removed_at) fields >> count;
   if (!fields) return std::nullopt;
-  payload += line;
-  payload += '\n';
 
-  if (!expect_tag(in, "seconds", fields, line)) return std::nullopt;
+  if (!expect_tag(in, "seconds", fields)) return std::nullopt;
   {
     std::uint64_t n = 0;
     std::int64_t sum_q = 0;
@@ -98,10 +82,8 @@ std::optional<ShardState> read_shard(const std::string& path, const Accumulator&
     if (!fields) return std::nullopt;
     acc.seconds = stats::ExactMoments::restore(n, sum_q, hi, lo);
   }
-  payload += line;
-  payload += '\n';
 
-  if (!expect_tag(in, "cells", fields, line)) return std::nullopt;
+  if (!expect_tag(in, "cells", fields)) return std::nullopt;
   std::size_t rating_count = 0;
   std::size_t ab_count = 0;
   fields >> rating_count >> ab_count;
@@ -109,11 +91,9 @@ std::optional<ShardState> read_shard(const std::string& path, const Accumulator&
       ab_count != layout.ab_cells.size()) {
     return std::nullopt;
   }
-  payload += line;
-  payload += '\n';
 
   for (std::size_t i = 0; i < rating_count; ++i) {
-    if (!expect_tag(in, "rcell", fields, line)) return std::nullopt;
+    if (!expect_tag(in, "rcell", fields)) return std::nullopt;
     std::size_t index = 0;
     std::uint64_t n = 0;
     std::int64_t sum_q = 0;
@@ -122,28 +102,16 @@ std::optional<ShardState> read_shard(const std::string& path, const Accumulator&
     fields >> index >> n >> sum_q >> hi >> lo;
     if (!fields || index != i) return std::nullopt;
     acc.rating_cells[i].votes = stats::ExactMoments::restore(n, sum_q, hi, lo);
-    payload += line;
-    payload += '\n';
   }
   for (std::size_t i = 0; i < ab_count; ++i) {
-    if (!expect_tag(in, "acell", fields, line)) return std::nullopt;
+    if (!expect_tag(in, "acell", fields)) return std::nullopt;
     std::size_t index = 0;
     AbCell& cell = acc.ab_cells[i];
     fields >> index >> cell.prefer_first >> cell.no_difference >> cell.prefer_second >>
         cell.replays >> cell.confidence_q;
     if (!fields || index != i) return std::nullopt;
-    payload += line;
-    payload += '\n';
   }
-
-  if (!std::getline(in, line)) return std::nullopt;
-  std::istringstream footer(line);
-  std::string tag;
-  std::string expected;
-  footer >> tag >> expected;
-  if (!footer || tag != "checksum" || expected != checksum_hex(payload)) {
-    return std::nullopt;
-  }
+  if (in.peek() != EOF) return std::nullopt;
   return state;
 }
 
@@ -168,24 +136,10 @@ bool StudyStore::load(Accumulator& acc, std::uint64_t& blocks_done) const {
 }
 
 void StudyStore::save(const Accumulator& acc, std::uint64_t blocks_done) const {
-  const std::string payload = payload_for(acc);
-  const std::string temp_path = path_ + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write checkpoint temp file " + temp_path);
-    out << kMagic << ' ' << fingerprint_ << ' ' << shard_index_ << ' ' << shard_count_
-        << ' ' << block_size_ << ' ' << blocks_done << '\n'
-        << payload << "checksum " << checksum_hex(payload) << '\n';
-    out.flush();
-    if (!out) {
-      std::remove(temp_path.c_str());
-      throw std::runtime_error("failed writing checkpoint temp file " + temp_path);
-    }
-  }
-  if (std::rename(temp_path.c_str(), path_.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    throw std::runtime_error("cannot rename checkpoint into place: " + path_);
-  }
+  std::ostringstream header;
+  header << kMagic << ' ' << fingerprint_ << ' ' << shard_index_ << ' ' << shard_count_ << ' '
+         << block_size_ << ' ' << blocks_done;
+  write_durable(path_, header.str(), payload_for(acc));
 }
 
 }  // namespace qperc::population

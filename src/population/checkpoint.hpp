@@ -1,22 +1,16 @@
-// Durable, resumable checkpoint for one population-study shard.
+// Durable, resumable checkpoint for one population-study shard: a durable
+// file (header and guarantees: ARCHITECTURE.md, "Durable files") whose
+// payload is the accumulator's integer state:
 //
-// On-disk format (version 1, plain text):
-//
-//   qperc-popstudy-v1 <fingerprint> <shard_index> <shard_count> <block_size> <blocks_done>
 //   counts <participants> <survivors> <votes>
 //   removed <r1> ... <r7>
 //   seconds <n> <sum_q> <sumsq_hi> <sumsq_lo>
 //   cells <rating_count> <ab_count>
 //   rcell <i> <n> <sum_q> <sumsq_hi> <sumsq_lo>                 x rating_count
 //   acell <i> <first> <nodiff> <second> <replays> <confidence_q> x ab_count
-//   checksum <16-digit hex FNV-1a over everything after the header line>
 //
 // Only integer accumulator state is stored — never derived doubles — so a
-// resumed run is bit-identical to an uninterrupted one. The same guarantees
-// as runner::ResultStore apply: atomic tmp+rename writes, and load()
-// rejects (leaving the caller's state untouched) any file with a different
-// version, study fingerprint, shard geometry, cell layout, truncation, or
-// checksum mismatch.
+// resumed run is bit-identical to an uninterrupted one.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +32,21 @@ struct ShardState {
 };
 
 /// Reads any shard checkpoint whose cell layout matches `layout`
-/// (make_accumulator of the expected kind). Returns nullopt on missing,
-/// malformed, truncated, or checksum-failing files. Used by `study report`
-/// to merge shard files without knowing their geometry up front.
+/// (make_accumulator of the expected kind). Returns nullopt when the file
+/// fails the durable-file checks, is malformed, or has an impossible shard
+/// geometry (zero shards or block size, index not below the shard count).
+/// Used by `study report` to merge shard files without knowing their
+/// geometry up front.
 [[nodiscard]] std::optional<ShardState> read_shard(const std::string& path,
                                                    const Accumulator& layout);
 
-/// Writer/loader bound to one run's identity. save() is atomic
-/// (tmp + rename); load() additionally verifies fingerprint and shard
-/// geometry against this run's, so a checkpoint from a different study or
-/// a different shard split can never be resumed silently.
+/// Writer/loader bound to one run's identity. load() additionally verifies
+/// fingerprint and shard geometry against this run's, so a checkpoint from
+/// a different study or a different shard split can never be resumed
+/// silently.
 class StudyStore {
  public:
-  static constexpr const char* kMagic = "qperc-popstudy-v1";
+  static constexpr const char* kMagic = "qperc-popstudy-v2";
 
   StudyStore(std::string path, std::uint64_t fingerprint, unsigned shard_index,
              unsigned shard_count, std::uint64_t block_size);

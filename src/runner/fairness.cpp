@@ -2,8 +2,6 @@
 
 // qperc-lint: allow-file(wall-clock) operator-facing progress/ETA display only; wall time never reaches trial results or the event schedule
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -15,18 +13,13 @@
 #include "core/trial_context.hpp"
 #include "runner/executor.hpp"
 #include "stats/stats.hpp"
+#include "util/durable_file.hpp"
 #include "util/rng.hpp"
 #include "web/website.hpp"
 
 namespace qperc::runner {
 
 namespace {
-
-std::string checksum_hex(std::string_view payload) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << fnv1a(payload);
-  return os.str();
-}
 
 void set_record_precision(std::ostream& os) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -172,43 +165,30 @@ FairnessStore::FairnessStore(std::string path, std::uint64_t seed, std::uint32_t
       fingerprint_(fingerprint),
       checkpoint_every_(checkpoint_every == 0 ? 1 : checkpoint_every) {}
 
+std::string FairnessStore::identity() const {
+  return std::string(kMagic) + ' ' + std::to_string(seed_) + ' ' + std::to_string(runs_) +
+         ' ' + std::to_string(fingerprint_) + ' ';
+}
+
 bool FairnessStore::read_file(const std::string& path,
                               std::map<std::size_t, FairnessCell>& out) const {
-  std::ifstream in(path);
-  if (!in) return false;
-
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  std::istringstream header_stream(header);
-  std::string magic;
-  std::uint64_t seed = 0;
-  std::uint32_t runs = 0;
-  std::uint64_t fingerprint = 0;
+  const auto file = read_durable(path, kMagic);
+  const std::string expected = identity();
   std::size_t count = 0;
-  header_stream >> magic >> seed >> runs >> fingerprint >> count;
-  if (!header_stream || magic != kMagic || seed != seed_ || runs != runs_ ||
-      fingerprint != fingerprint_) {
+  if (!file || !file->header.starts_with(expected) ||
+      !(std::istringstream(file->header.substr(expected.size())) >> count)) {
     return false;
   }
-
-  std::string payload;
-  std::string line;
+  std::istringstream in(file->payload);
   std::map<std::size_t, FairnessCell> loaded;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) return false;
+  std::string line;
+  for (std::size_t i = 0; i < count && std::getline(in, line); ++i) {
     std::istringstream record(line);
     FairnessCell cell;
     if (!read_fairness_record(record, cell)) return false;
-    payload += line;
-    payload += '\n';
     loaded[cell.grid_index] = std::move(cell);
   }
-  if (!std::getline(in, line)) return false;
-  std::istringstream footer(line);
-  std::string label;
-  std::string checksum;
-  footer >> label >> checksum;
-  if (label != "checksum" || checksum != checksum_hex(payload)) return false;
+  if (loaded.size() != count || in.peek() != EOF) return false;
   out = std::move(loaded);
   return true;
 }
@@ -245,23 +225,7 @@ void FairnessStore::checkpoint() {
 void FairnessStore::checkpoint_locked() {
   std::ostringstream payload;
   for (const auto& [index, cell] : cells_) write_fairness_record(payload, cell);
-  const std::string records = payload.str();
-
-  std::ostringstream file;
-  file << kMagic << ' ' << seed_ << ' ' << runs_ << ' ' << fingerprint_ << ' '
-       << cells_.size() << '\n'
-       << records << "checksum " << checksum_hex(records) << '\n';
-
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("fairness store: cannot write " + tmp);
-    out << file.str();
-    if (!out.flush()) throw std::runtime_error("fairness store: write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw std::runtime_error("fairness store: rename failed: " + path_);
-  }
+  write_durable(path_, identity() + std::to_string(cells_.size()), payload.str());
   puts_since_checkpoint_ = 0;
 }
 

@@ -132,27 +132,28 @@ struct FairnessCell {
 void write_fairness_record(std::ostream& os, const FairnessCell& cell);
 [[nodiscard]] bool read_fairness_record(std::istream& is, FairnessCell& cell);
 
-/// Durable, resumable store for fairness cells; same guarantees as the
-/// campaign ResultStore (atomic temp+rename checkpoints, whole-file
-/// checksum, key-sorted deterministic bytes), keyed by grid index and
-/// fingerprinted against the spec's axes.
+/// Durable, resumable store for fairness cells: a durable file of records
+/// in grid-index order (format and guarantees: ARCHITECTURE.md, "Durable
+/// files"), fingerprinted against the spec's axes.
 class FairnessStore {
  public:
-  static constexpr const char* kMagic = "qperc-fairness-v1";
+  static constexpr const char* kMagic = "qperc-fairness-v2";
 
   FairnessStore(std::string path, std::uint64_t seed, std::uint32_t runs,
                 std::uint64_t fingerprint, std::size_t checkpoint_every = 8);
 
   /// Loads this store's own checkpoint file. Returns false (leaving the
-  /// store empty) on a missing file, version/seed/runs/fingerprint
-  /// mismatch, truncation, or checksum failure.
+  /// store empty) when the file fails the durable-file checks, has a
+  /// different seed/runs/fingerprint, or holds a malformed or duplicate
+  /// record.
   [[nodiscard]] bool load();
   /// Merges a compatible shard file into memory (existing cells win; no
   /// checkpoint). Returns false and absorbs nothing on any mismatch.
   [[nodiscard]] bool absorb(const std::string& path);
 
   void put(FairnessCell cell);
-  /// Atomically persists the current contents (temp file + rename).
+  /// Atomically persists the current contents. Throws std::runtime_error
+  /// when the file cannot be written.
   void checkpoint();
 
   [[nodiscard]] bool contains(std::size_t grid_index) const;
@@ -166,6 +167,8 @@ class FairnessStore {
 
  private:
   void checkpoint_locked();
+  /// The header up to its record count.
+  [[nodiscard]] std::string identity() const;
   [[nodiscard]] bool read_file(const std::string& path,
                                std::map<std::size_t, FairnessCell>& out) const;
 

@@ -1,23 +1,14 @@
 #include "runner/result_store.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace qperc::runner {
 
 namespace {
 
-std::string checksum_hex(std::string_view payload) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << fnv1a(payload);
-  return os.str();
+std::string identity(std::uint64_t seed, std::uint32_t runs) {
+  return std::string(ResultStore::kMagic) + ' ' + std::to_string(seed) + ' ' +
+         std::to_string(runs);
 }
 
 }  // namespace
@@ -34,44 +25,9 @@ bool ResultStore::load() {
   results_.clear();
   puts_since_checkpoint_ = 0;
 
-  std::ifstream in(path_);
-  if (!in) return false;
-
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  std::istringstream header_stream(header);
-  std::string magic;
-  std::uint64_t seed = 0;
-  std::uint32_t runs = 0;
-  std::size_t count = 0;
-  header_stream >> magic >> seed >> runs >> count;
-  if (!header_stream || magic != kMagic || seed != seed_ || runs != runs_) return false;
-
-  // Records, then the checksum footer; anything short, extra, or corrupt
-  // invalidates the whole file (checkpoints are atomic, so a valid file is
-  // always complete).
-  std::string payload;
-  std::string line;
-  std::map<Key, core::Video> loaded;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) return false;
-    std::istringstream record(line);
-    core::Video video;
-    if (!core::read_video_record(record, video)) return false;
-    payload += line;
-    payload += '\n';
-    const Key key{video.site, video.protocol, static_cast<int>(video.network)};
-    loaded.insert_or_assign(key, std::move(video));
-  }
-  if (!std::getline(in, line)) return false;
-  std::istringstream footer(line);
-  std::string tag;
-  std::string expected;
-  footer >> tag >> expected;
-  if (!footer || tag != "checksum" || expected != checksum_hex(payload)) return false;
-  if (loaded.size() != count) return false;  // duplicate keys would shrink the map
-
-  results_ = std::move(loaded);
+  auto loaded = core::read_video_file(path_, identity(seed_, runs_));
+  if (!loaded) return false;
+  results_ = std::move(*loaded);
   return true;
 }
 
@@ -88,30 +44,7 @@ void ResultStore::checkpoint() {
 }
 
 void ResultStore::checkpoint_locked() {
-  std::ostringstream payload;
-  payload.precision(17);
-  for (const auto& [key, video] : results_) {
-    core::write_video_record(payload, video);
-    payload << '\n';
-  }
-  const std::string payload_str = payload.str();
-
-  const std::string temp_path = path_ + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot write checkpoint temp file " + temp_path);
-    out << kMagic << ' ' << seed_ << ' ' << runs_ << ' ' << results_.size() << '\n'
-        << payload_str << "checksum " << checksum_hex(payload_str) << '\n';
-    out.flush();
-    if (!out) {
-      std::remove(temp_path.c_str());
-      throw std::runtime_error("failed writing checkpoint temp file " + temp_path);
-    }
-  }
-  if (std::rename(temp_path.c_str(), path_.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    throw std::runtime_error("cannot rename checkpoint into place: " + path_);
-  }
+  core::write_video_file(path_, identity(seed_, runs_), results_);
   puts_since_checkpoint_ = 0;
 }
 

@@ -1,26 +1,10 @@
-// Durable, resumable store for campaign results.
-//
-// On-disk format (version 3, plain text, one record per line):
-//
-//   qperc-campaign-v3 <seed> <runs> <count>
-//   <video record>                                  x count, key-sorted
-//   checksum <16-digit hex FNV-1a over the record block>
-//
-// Guarantees:
-//   * Atomic checkpoints — every write goes to "<path>.tmp" and is renamed
-//     over <path>, so a reader (or a resumed campaign) only ever sees a
-//     complete, self-consistent file; a kill mid-write loses at most the
-//     results since the previous checkpoint, never the file.
-//   * Incremental checkpointing — put() persists automatically every
-//     `checkpoint_every` insertions; run boundaries call checkpoint()
-//     explicitly for the final flush.
-//   * Tamper/truncation detection — load() verifies the version, the
-//     (seed, runs) pair, the record count, and the whole-block checksum;
-//     any mismatch discards the file and leaves the store empty, so a
-//     corrupt checkpoint can never poison later runs with partial data.
-//   * Deterministic bytes — records are written in key order from a
-//     std::map, so the file contents depend only on the set of results,
-//     not on job count or completion order (asserted by tests).
+// Durable, resumable store for campaign results: a durable file of
+// key-sorted video records (format and guarantees: ARCHITECTURE.md,
+// "Durable files"). put() checkpoints automatically every
+// `checkpoint_every` insertions; run boundaries call checkpoint() for the
+// final flush. Records are written in key order from a std::map, so the
+// bytes depend only on the set of results, not on job count or completion
+// order.
 //
 // Thread-safe: all public methods lock an internal mutex, so executor
 // workers can put() concurrently.
@@ -31,7 +15,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
 
 #include "core/video.hpp"
 #include "net/profile.hpp"
@@ -40,24 +23,24 @@ namespace qperc::runner {
 
 class ResultStore {
  public:
-  using Key = std::tuple<std::string, std::string, int>;
+  using Key = core::VideoKey;
 
-  static constexpr const char* kMagic = "qperc-campaign-v3";
+  static constexpr const char* kMagic = "qperc-campaign-v4";
 
   ResultStore(std::string path, std::uint64_t seed, std::uint32_t runs,
               std::size_t checkpoint_every = 25);
 
   /// Loads an existing checkpoint file. Returns false (leaving the store
-  /// empty) when the file is missing, has a different version or
-  /// (seed, runs) pair, is truncated, or fails the checksum.
+  /// empty) when the file fails the durable-file checks, has a different
+  /// (seed, runs) pair, or holds a malformed or duplicate record.
   [[nodiscard]] bool load();
 
   /// Inserts (or replaces) one result and checkpoints automatically every
   /// `checkpoint_every` insertions.
   void put(core::Video video);
 
-  /// Atomically persists the current contents (temp file + rename).
-  /// Throws std::runtime_error when the file cannot be written.
+  /// Atomically persists the current contents. Throws std::runtime_error
+  /// when the file cannot be written.
   void checkpoint();
 
   [[nodiscard]] bool contains(const std::string& site, const std::string& protocol,

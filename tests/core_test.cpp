@@ -1,6 +1,7 @@
 // Core tests: Table-1 protocol configs, trial determinism, video selection.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "core/protocol.hpp"
 #include "core/video.hpp"
 #include "net/profile.hpp"
+#include "util/durable_file.hpp"
 #include "web/website.hpp"
 
 namespace qperc::core {
@@ -190,13 +192,13 @@ TEST(VideoLibrary, CorruptOrTruncatedCacheLeavesLibraryUntouched) {
   EXPECT_FALSE(truncated_reader.load_cache(path));
   EXPECT_EQ(truncated_reader.cached_conditions(), 1u);  // only the precomputed one
 
-  // Corrupt a numeric field in the first record (the v1 format has no
-  // checksum, so only in-band parse failures are detectable).
+  // Change one digit of the first record to another digit: the record still
+  // parses, so only the checksum can catch it.
   std::string corrupt = good;
   const auto payload = corrupt.find('\n') + 1;
-  const auto digit = corrupt.find_first_of("0123456789", payload);
-  ASSERT_NE(digit, std::string::npos);
-  corrupt[digit] = 'x';
+  const auto digit = corrupt.find('\n', payload) - 1;  // last VC sample value
+  ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(corrupt[digit])));
+  corrupt[digit] = corrupt[digit] == '9' ? '8' : '9';
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << corrupt;
@@ -204,6 +206,16 @@ TEST(VideoLibrary, CorruptOrTruncatedCacheLeavesLibraryUntouched) {
   VideoLibrary corrupt_reader(7, 2);
   EXPECT_FALSE(corrupt_reader.load_cache(path));
   EXPECT_EQ(corrupt_reader.cached_conditions(), 0u);
+
+  // The same condition twice, under a valid checksum and a matching count.
+  writer.save_cache(path);
+  const auto saved = read_durable(path, "qperc-video-cache-v3");
+  ASSERT_TRUE(saved.has_value());
+  const std::string first_record = saved->payload.substr(0, saved->payload.find('\n') + 1);
+  write_durable(path, saved->header, first_record + first_record);
+  VideoLibrary duplicate_reader(7, 2);
+  EXPECT_FALSE(duplicate_reader.load_cache(path));
+  EXPECT_EQ(duplicate_reader.cached_conditions(), 0u);
   std::remove(path.c_str());
 }
 
@@ -217,6 +229,12 @@ TEST(VideoLibrary, SaveCacheIsAtomic) {
   VideoLibrary reader(7, 2);
   EXPECT_TRUE(reader.load_cache(path));
   std::remove(path.c_str());
+
+  // A write that cannot happen throws instead of returning silently.
+  const auto missing_dir = std::filesystem::temp_directory_path() / "qperc_no_such_cache_dir";
+  std::filesystem::remove_all(missing_dir);
+  EXPECT_THROW(writer.save_cache((missing_dir / "videos.qvc").string()), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(missing_dir));
 }
 
 TEST(VideoLibrary, PrecomputeReportsFailureAfterCachingTheRest) {

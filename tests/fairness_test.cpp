@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,7 @@
 #include "runner/torture.hpp"
 #include "stats/stats.hpp"
 #include "stats/streaming.hpp"
+#include "util/durable_file.hpp"
 #include "util/rng.hpp"
 #include "web/website.hpp"
 
@@ -189,6 +191,53 @@ TEST(FairnessStore, LoadRejectsMismatchedFingerprint) {
   EXPECT_FALSE(other.load());
   EXPECT_EQ(other.size(), 0u);
   EXPECT_FALSE(other.absorb(path));
+}
+
+TEST(FairnessStore, RejectsCorruptTruncatedAndDuplicateFiles) {
+  const std::string path = testing::TempDir() + "fairness_corrupt.qfr";
+  runner::FairnessStore writer(path, 7, 5, 1111);
+  runner::FairnessCell second = sample_cell();
+  second.grid_index = 4;
+  writer.put(sample_cell());
+  writer.put(second);
+  writer.checkpoint();
+  const auto saved = read_durable(path, runner::FairnessStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    good = buffer.str();
+  }
+
+  const auto expect_rejected = [&](const std::string& contents) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << contents;
+    }
+    runner::FairnessStore reader(path, 7, 5, 1111);
+    EXPECT_FALSE(reader.load());
+    EXPECT_FALSE(reader.absorb(path));
+    EXPECT_EQ(reader.size(), 0u);
+  };
+  // One digit of the first record changed to another digit.
+  std::string corrupt = good;
+  const auto digit = corrupt.find_first_of("0123456789", corrupt.find("\ncell") + 5);
+  ASSERT_NE(digit, std::string::npos);
+  corrupt[digit] = corrupt[digit] == '9' ? '8' : '9';
+  expect_rejected(corrupt);
+  // Cut mid-record, and cut just before the footer.
+  expect_rejected(good.substr(0, good.size() / 2));
+  expect_rejected(good.substr(0, good.rfind("checksum ")));
+
+  // The same cell twice, under a valid checksum and a matching count.
+  const std::string first = saved->payload.substr(0, saved->payload.find('\n') + 1);
+  write_durable(path, saved->header, first + first);
+  runner::FairnessStore reader(path, 7, 5, 1111);
+  EXPECT_FALSE(reader.load());
+  EXPECT_FALSE(reader.absorb(path));
+  EXPECT_EQ(reader.size(), 0u);
 }
 
 // --- grid determinism --------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/video.hpp"
 #include "population/checkpoint.hpp"
 #include "population/population_study.hpp"
+#include "util/durable_file.hpp"
 // Own binary: this TU holds the counting operator new/delete shim (one TU
 // per binary), so the O(1)-memory claim is measured, not asserted.
 #include "util/alloc_interpose.hpp"
@@ -200,23 +201,63 @@ TEST(PopulationStudy, CheckpointRoundTripsAndRejectsCorruption) {
   const StudyStore other_geometry(path, spec.fingerprint(), 0, 2, options.block_size);
   EXPECT_FALSE(other_geometry.load(scratch, blocks_done));
 
-  // Flipping one payload byte breaks the checksum.
-  std::string contents;
+  std::string good;
   {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    contents = buffer.str();
+    good = buffer.str();
   }
-  const auto digit = contents.find_first_of("0123456789", contents.find('\n'));
+  // A rejected file leaves the caller's accumulator and block count alone.
+  const auto expect_rejected = [&](const std::string& contents) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << contents;
+    }
+    Accumulator untouched = make_accumulator(spec.kind);
+    std::uint64_t blocks = 3;
+    EXPECT_FALSE(store.load(untouched, blocks));
+    EXPECT_EQ(blocks, 3u);
+    EXPECT_EQ(report_bytes(spec, untouched),
+              report_bytes(spec, make_accumulator(spec.kind)));
+    EXPECT_FALSE(read_shard(path, make_accumulator(spec.kind)).has_value());
+  };
+
+  // Flipping one payload digit breaks the checksum.
+  std::string flipped = good;
+  const auto digit = flipped.find_first_of("0123456789", flipped.find('\n'));
   ASSERT_NE(digit, std::string::npos);
-  contents[digit] = contents[digit] == '9' ? '8' : '9';
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << contents;
-  }
-  EXPECT_FALSE(store.load(scratch, blocks_done));
-  EXPECT_FALSE(read_shard(path, make_accumulator(spec.kind)).has_value());
+  flipped[digit] = flipped[digit] == '9' ? '8' : '9';
+  expect_rejected(flipped);
+
+  // Rewriting only the header's blocks_done is caught too: the header is
+  // inside the checksum, so a resume can never skip or replay blocks.
+  std::string rewound = good;
+  const auto header_end = rewound.find('\n');
+  const auto blocks_field = rewound.rfind(' ', header_end) + 1;
+  ASSERT_EQ(rewound.substr(blocks_field, header_end - blocks_field),
+            std::to_string(report.blocks_done));
+  rewound.replace(blocks_field, header_end - blocks_field,
+                  std::to_string(report.blocks_done - 3));
+  expect_rejected(rewound);
+
+  // Files crafted through the durable-file writer carry a valid checksum,
+  // so only read_shard's geometry check can refuse an impossible split.
+  store.save(report.accumulator, report.blocks_done);
+  const auto saved = read_durable(path, StudyStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  const auto with_geometry = [&](const std::string& geometry) {
+    write_durable(path,
+                  std::string(StudyStore::kMagic) + ' ' + std::to_string(spec.fingerprint()) +
+                      ' ' + geometry + ' ' + std::to_string(report.blocks_done),
+                  saved->payload);
+    return read_shard(path, make_accumulator(spec.kind)).has_value();
+  };
+  EXPECT_TRUE(with_geometry("1 2 50"));
+  EXPECT_FALSE(with_geometry("9 2 50"));  // index beyond the split
+  EXPECT_FALSE(with_geometry("2 2 50"));
+  EXPECT_FALSE(with_geometry("0 0 50"));  // no shards
+  EXPECT_FALSE(with_geometry("0 1 0"));   // empty blocks
   std::remove(path.c_str());
 }
 

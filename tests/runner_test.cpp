@@ -20,6 +20,7 @@
 #include "runner/executor.hpp"
 #include "runner/result_store.hpp"
 #include "trace/counters.hpp"
+#include "util/durable_file.hpp"
 #include "web/website.hpp"
 
 namespace qperc::runner {
@@ -269,6 +270,19 @@ TEST(ResultStore, DetectsCorruptionAndTruncation) {
   ResultStore truncated(path, 7, 2);
   EXPECT_FALSE(truncated.load());
   EXPECT_EQ(truncated.size(), 0u);
+
+  // The same key twice, under a valid checksum and a matching count.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << good;
+  }
+  const auto saved = read_durable(path, ResultStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  const std::string first = saved->payload.substr(0, saved->payload.find('\n') + 1);
+  write_durable(path, saved->header, first + first);
+  ResultStore duplicated(path, 7, 2);
+  EXPECT_FALSE(duplicated.load());
+  EXPECT_EQ(duplicated.size(), 0u);
   std::remove(path.c_str());
 }
 

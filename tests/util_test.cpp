@@ -1,13 +1,18 @@
 // Unit tests for util: RNG determinism/distributions, units, table printer,
-// SmallFunction callbacks, ring buffer.
+// SmallFunction callbacks, ring buffer, durable files.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "util/durable_file.hpp"
 #include "util/function.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -259,6 +264,145 @@ TEST(RingBuffer, ClearEmptiesAndStaysUsable) {
   buffer.push_back(std::make_unique<int>(3));
   EXPECT_EQ(*buffer.front(), 3);
   EXPECT_EQ(*buffer.pop_front(), 3);
+}
+
+// --- DurableFile -------------------------------------------------------------
+
+constexpr std::string_view kTestMagic = "qperc-test-v1";
+constexpr std::string_view kTestHeader = "qperc-test-v1 7 2";
+constexpr std::string_view kTestPayload = "cell 0 1.5\ncell 1 2.25\n";
+
+std::string durable_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void spit(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << contents;
+}
+
+/// A valid file's bytes, written by write_durable.
+std::string good_durable_bytes(const std::string& path) {
+  write_durable(path, kTestHeader, kTestPayload);
+  return slurp(path);
+}
+
+TEST(DurableFile, RoundTripsHeaderAndPayload) {
+  const std::string path = durable_path("qperc_durable_roundtrip.qd");
+  const std::string bytes = good_durable_bytes(path);
+  const auto read = read_durable(path, kTestMagic);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->header, kTestHeader);
+  EXPECT_EQ(read->payload, kTestPayload);
+
+  // Layout: header line, payload, one 16-hex-digit footer line.
+  const std::string prefix = std::string(kTestHeader) + "\n" + std::string(kTestPayload);
+  ASSERT_EQ(bytes.compare(0, prefix.size(), prefix), 0);
+  const std::string footer = bytes.substr(prefix.size());
+  ASSERT_EQ(footer.size(), std::string("checksum \n").size() + 16);
+  EXPECT_EQ(footer.substr(0, 9), "checksum ");
+  EXPECT_EQ(footer.find_first_not_of("0123456789abcdef", 9), footer.size() - 1);
+
+  // An empty payload and a header of the bare magic round trip too.
+  write_durable(path, kTestMagic, "");
+  const auto bare = read_durable(path, kTestMagic);
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_EQ(bare->header, kTestMagic);
+  EXPECT_EQ(bare->payload, "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, RejectsMalformedArguments) {
+  const std::string path = durable_path("qperc_durable_args.qd");
+  EXPECT_THROW(write_durable(path, "qperc-test-v1\n7", kTestPayload), std::invalid_argument);
+  EXPECT_THROW(write_durable(path, kTestHeader, "cell 0 1.5"), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(DurableFile, EveryTruncationIsRejected) {
+  const std::string path = durable_path("qperc_durable_truncate.qd");
+  const std::string good = good_durable_bytes(path);
+  for (std::size_t size = 0; size < good.size(); ++size) {
+    spit(path, good.substr(0, size));
+    EXPECT_FALSE(read_durable(path, kTestMagic).has_value()) << "prefix of " << size;
+  }
+  EXPECT_FALSE(read_durable(durable_path("qperc_durable_missing.qd"), kTestMagic));
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, EverySingleByteFlipIsRejected) {
+  // Covers the header (magic and store fields), every payload byte, every
+  // newline, and the footer.
+  const std::string path = durable_path("qperc_durable_flip.qd");
+  const std::string good = good_durable_bytes(path);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      spit(path, flipped);
+      EXPECT_FALSE(read_durable(path, kTestMagic).has_value())
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, TrailingBytesAreRejected) {
+  const std::string path = durable_path("qperc_durable_trailing.qd");
+  const std::string good = good_durable_bytes(path);
+  const std::string footer = good.substr(good.rfind('\n', good.size() - 2) + 1);
+  for (const std::string& suffix : {std::string("x"), std::string("\n"), std::string(" "),
+                                   std::string("cell 2 3\n"), footer}) {
+    spit(path, good + suffix);
+    EXPECT_FALSE(read_durable(path, kTestMagic).has_value()) << "suffix " << suffix;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, WrongMagicIsRejected) {
+  const std::string path = durable_path("qperc_durable_magic.qd");
+  good_durable_bytes(path);
+  EXPECT_TRUE(read_durable(path, kTestMagic).has_value());
+  EXPECT_FALSE(read_durable(path, "qperc-test-v2").has_value());
+  EXPECT_FALSE(read_durable(path, "qperc-test").has_value());  // a prefix of the token
+  EXPECT_FALSE(read_durable(path, "qperc-test-v1 7 2 3").has_value());
+  std::remove(path.c_str());
+}
+
+TEST(DurableFile, FailedWriteLeavesTargetUnchangedAndNoTemp) {
+  // The directory does not exist: nothing can be created.
+  const std::string orphan = durable_path("qperc_durable_no_such_dir") + "/file.qd";
+  EXPECT_THROW(write_durable(orphan, kTestHeader, kTestPayload), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(orphan + ".tmp"));
+
+  // The temp file cannot be created: the previous file stays intact.
+  const std::string path = durable_path("qperc_durable_blocked.qd");
+  std::filesystem::remove_all(path + ".tmp");
+  const std::string good = good_durable_bytes(path);
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(write_durable(path, "qperc-test-v1 8 2", ""), std::runtime_error);
+  EXPECT_EQ(slurp(path), good);
+  std::filesystem::remove(path + ".tmp");
+  std::remove(path.c_str());
+
+  // The rename fails (the target is a non-empty directory): the written
+  // temp file is removed and the target is untouched.
+  const std::string dir = durable_path("qperc_durable_target_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  spit(dir + "/keep", "kept");
+  EXPECT_THROW(write_durable(dir, kTestHeader, kTestPayload), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_EQ(slurp(dir + "/keep"), "kept");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
