@@ -1,11 +1,8 @@
 // Extension studies beyond the paper's snapshot:
-//  A. BBRv2 — "BBRv2 was not yet available at the time of testing" (§3,
-//     fn. 2). How would the Table-1 "+BBR" rows change with v2's
-//     loss-aware model on the lossy in-flight networks?
-//  B. Repeat visits — the paper studies fresh-cache 1-RTT QUIC vs 2-RTT
+//  A. Repeat visits — the paper studies fresh-cache 1-RTT QUIC vs 2-RTT
 //     TCP and argues 0-RTT is hard to deploy (§3). This bench quantifies
 //     the repeat-visit world: QUIC 0-RTT vs TCP with TFO + TLS early-data.
-//  C. NewReno — the pre-Cubic baseline, for perspective on how much the
+//  B. NewReno — the pre-Cubic baseline, for perspective on how much the
 //     congestion controller itself moves the visual metrics.
 #include <iostream>
 
@@ -29,23 +26,12 @@ double mean_si(const web::Website& site, const core::ProtocolConfig& protocol,
   return sum / runs;
 }
 
-double mean_retx(const web::Website& site, const core::ProtocolConfig& protocol,
-                 const net::NetworkProfile& profile, std::uint32_t runs) {
-  double sum = 0.0;
-  for (std::uint32_t seed = 1; seed <= runs; ++seed) {
-    sum += static_cast<double>(
-        core::run_trial(core::TrialSpec(site, protocol, profile, seed * 40'503 + 11))
-            .transport.retransmissions);
-  }
-  return sum / runs;
-}
-
 }  // namespace
 }  // namespace qperc
 
 int main() {
   using namespace qperc;
-  bench::banner("Extension studies: BBRv2, repeat visits (0-RTT), NewReno",
+  bench::banner("Extension studies: repeat visits (0-RTT), NewReno",
                 "Beyond the paper's 2019 snapshot; see DESIGN.md §8.");
   const auto catalog = web::study_catalog(bench::master_seed());
   const std::uint32_t runs = std::max<std::uint32_t>(bench::runs_per_condition() / 3, 5);
@@ -54,29 +40,8 @@ int main() {
     if (site.name == "gov.uk") gov = &site;
   }
 
-  // A. BBRv1 vs BBRv2 on every network (QUIC transport, gov.uk).
-  std::cout << "A) BBRv1 vs BBRv2 (QUIC transport, " << gov->name << ", mean SI ms / retx):\n";
-  TextTable bbr_table({"Network", "Cubic SI", "BBRv1 SI", "BBRv2 SI", "BBRv1 retx",
-                       "BBRv2 retx"});
-  core::ProtocolConfig quic_cubic = core::protocol_by_name("QUIC");
-  core::ProtocolConfig quic_bbr1 = core::protocol_by_name("QUIC+BBR");
-  core::ProtocolConfig quic_bbr2 = quic_bbr1;
-  quic_bbr2.name = "QUIC+BBRv2";
-  quic_bbr2.congestion_control = cc::CcKind::kBbr2;
-  for (const auto& profile : net::all_profiles()) {
-    bbr_table.add_row({profile.name,
-                       fmt_fixed(mean_si(*gov, quic_cubic, profile, runs), 0),
-                       fmt_fixed(mean_si(*gov, quic_bbr1, profile, runs), 0),
-                       fmt_fixed(mean_si(*gov, quic_bbr2, profile, runs), 0),
-                       fmt_fixed(mean_retx(*gov, quic_bbr1, profile, runs), 1),
-                       fmt_fixed(mean_retx(*gov, quic_bbr2, profile, runs), 1)});
-  }
-  bbr_table.print(std::cout);
-  std::cout << "Reading: v2's loss-aware inflight ceiling reins in v1's overshoot on\n"
-               "the 3.3%/6% loss links (fewer retransmissions at comparable SI).\n\n";
-
-  // B. Repeat visits: 0-RTT on both stacks.
-  std::cout << "B) First vs repeat visit (" << gov->name << ", mean SI ms):\n";
+  // A. Repeat visits: 0-RTT on both stacks.
+  std::cout << "A) First vs repeat visit (" << gov->name << ", mean SI ms):\n";
   TextTable visit_table({"Network", "TCP+ (2-RTT)", "TCP+ TFO (1-RTT)",
                          "TCP+ 0-RTT", "QUIC (1-RTT)", "QUIC 0-RTT"});
   core::ProtocolConfig tcp2 = core::protocol_by_name("TCP+");
@@ -102,14 +67,13 @@ int main() {
                "handshake gap closes — §3's point that today's deployment reality\n"
                "(no idempotency signaling) is what preserves QUIC's edge.\n\n";
 
-  // C. NewReno baseline.
-  std::cout << "C) Congestion-controller sweep (TCP+ transport, " << gov->name
+  // B. NewReno baseline.
+  std::cout << "B) Congestion-controller sweep (TCP+ transport, " << gov->name
             << ", mean SI ms):\n";
-  TextTable cc_table({"Network", "NewReno", "Cubic", "BBRv1", "BBRv2"});
+  TextTable cc_table({"Network", "NewReno", "Cubic", "BBRv1"});
   for (const auto& profile : net::all_profiles()) {
     std::vector<std::string> row = {profile.name};
-    for (const auto kind : {cc::CcKind::kReno, cc::CcKind::kCubic, cc::CcKind::kBbr,
-                            cc::CcKind::kBbr2}) {
+    for (const auto kind : {cc::CcKind::kReno, cc::CcKind::kCubic, cc::CcKind::kBbr}) {
       core::ProtocolConfig protocol = core::protocol_by_name("TCP+");
       protocol.congestion_control = kind;
       row.push_back(fmt_fixed(mean_si(*gov, protocol, profile, runs), 0));

@@ -1,6 +1,7 @@
 // Dumps a qlog-style structured trace of a small page load — handshake,
 // transport, recovery, HTTP, browser, and link events — as JSON Lines on
-// stdout, with an aggregate-counter summary on stderr.
+// stdout, with a summary on stderr: transport counts from the
+// net::TransportStats ledger, the rest from trace-only counters.
 //
 //   ./trace_flow [site] [protocol] [network] > trace.jsonl
 #include <iostream>
@@ -60,10 +61,11 @@ int main(int argc, char** argv) {
   const trace::TrialCounters& counters = sink.counters();
   std::cerr << site->name << " / " << protocol.name << " / " << profile->name << ": PLT "
             << result.metrics.plt_ms() << " ms, " << sink.events_written() << " events\n"
-            << "handshake: " << counters.handshake_packets << " packets, first completed in "
+            << "handshake: " << result.transport.handshake_packets
+            << " packets, first completed in "
             << to_millis(counters.first_handshake_duration) << " ms\n"
-            << "recovery: " << counters.retransmissions << " retransmissions, "
-            << counters.timeouts << " timeouts, " << counters.spurious_losses
+            << "recovery: " << result.transport.retransmissions << " retransmissions, "
+            << result.transport.timeouts << " timeouts, " << counters.spurious_losses
             << " spurious losses\n"
             << "link: " << counters.link_deliveries << " deliveries, "
             << counters.queue_drops << " queue drops, " << counters.random_loss_drops

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end exercise of `qperc campaign`: interrupt-then-resume must land on
-# byte-identical results, `--jobs` must not affect the store, and the CLI must
-# reject malformed invocations.
+# byte-identical results, `--jobs` must not affect the store, status/export
+# must honour the grid filters, and the CLI must reject malformed invocations.
 #
 #   usage: campaign_e2e.sh /path/to/qperc
 set -euo pipefail
@@ -44,15 +44,20 @@ echo "== sharded runs merge to the same grid"
 "$QPERC" campaign export "${GRID[@]}" --out "$WORKDIR/shards" > "$WORKDIR/shards.csv"
 cmp "$WORKDIR/ref.csv" "$WORKDIR/shards.csv"
 
-echo "== trace counters are observation-only: default and --no-counters exports match"
-# TCP over DSL/LTE: a grid with droptail overflow, where admission decisions
-# at a serialization boundary show up in the results.
-COUNTED=(--sites 2 --runs 2 --seed 7 --protocols TCP --networks DSL,LTE)
-"$QPERC" campaign run "${COUNTED[@]}" --jobs 2 --out "$WORKDIR/counted" --quiet
-"$QPERC" campaign run "${COUNTED[@]}" --jobs 2 --no-counters --out "$WORKDIR/uncounted" --quiet
-"$QPERC" campaign export "${COUNTED[@]}" --out "$WORKDIR/counted" > "$WORKDIR/counted.csv"
-"$QPERC" campaign export "${COUNTED[@]}" --out "$WORKDIR/uncounted" > "$WORKDIR/uncounted.csv"
-cmp "$WORKDIR/counted.csv" "$WORKDIR/uncounted.csv"
+echo "== status and export restrict a wider store to the requested grid"
+"$QPERC" campaign run --sites 2 --runs 2 --seed 7 --protocols TCP,QUIC --networks DSL,LTE \
+  --jobs 2 --out "$WORKDIR/wide" --quiet
+SUB=(--sites 1 --runs 2 --seed 7 --protocols TCP --networks DSL)
+"$QPERC" campaign status "${SUB[@]}" --out "$WORKDIR/wide" > "$WORKDIR/sub_status.txt"
+grep -q "completed: 1 / 1 conditions" "$WORKDIR/sub_status.txt" || {
+  echo "FAIL: filtered status counts conditions outside the grid" >&2
+  cat "$WORKDIR/sub_status.txt" >&2; exit 1
+}
+"$QPERC" campaign export "${SUB[@]}" --out "$WORKDIR/wide" > "$WORKDIR/sub.csv"
+test "$(wc -l < "$WORKDIR/sub.csv")" -eq 2 || {
+  echo "FAIL: filtered export has rows outside the grid" >&2; cat "$WORKDIR/sub.csv" >&2; exit 1
+}
+grep -q ",TCP,DSL," "$WORKDIR/sub.csv"
 
 echo "== malformed invocations are rejected"
 if "$QPERC" campaign run --definitely-not-a-flag 2>/dev/null; then
@@ -77,5 +82,10 @@ for runs in 0 4294967296; do
   expect_usage_error campaign run --runs "$runs" --out "$WORKDIR/bad"
   expect_usage_error video --runs "$runs"
 done
+# Campaign trials run untraced, so there is no --no-counters; status/export
+# merge every shard file, so they take no --shard.
+expect_usage_error campaign run "${GRID[@]}" --no-counters --out "$WORKDIR/bad"
+expect_usage_error campaign status "${GRID[@]}" --shard 0/2 --out "$WORKDIR/ref"
+expect_usage_error campaign export "${GRID[@]}" --shard 0/2 --out "$WORKDIR/ref"
 
 echo "campaign_e2e: OK"

@@ -90,5 +90,21 @@ fi
 if "$QPERC" study run --runs 4294967296 2>/dev/null; then
   echo "FAIL: --runs wrapping to zero was accepted" >&2; exit 1
 fi
+# An unknown --kind or --group is bad input (exit 2), never a silent fallback
+# to a uWorker rating study.
+expect_usage_error() {
+  local status=0
+  "$QPERC" "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: 'qperc $*' exited $status, expected 2" >&2; exit 1
+  fi
+}
+SMALL=(--participants 64 --sites 1 --runs 1)
+for bad in "kind abx" "group foo"; do
+  read -r flag value <<< "$bad"
+  expect_usage_error study --"$flag" "$value" --sites 1 --runs 1
+  expect_usage_error study run --"$flag" "$value" "${SMALL[@]}" --out "$WORKDIR/bad"
+  expect_usage_error study report --"$flag" "$value" "${SMALL[@]}" --out "$WORKDIR/bad"
+done
 
 echo "study_e2e: OK"

@@ -1,7 +1,6 @@
 #include "cc/factory.hpp"
 
 #include "cc/bbr.hpp"
-#include "cc/bbr2.hpp"
 #include "cc/cubic.hpp"
 #include "cc/reno.hpp"
 
@@ -11,7 +10,6 @@ std::string_view to_string(CcKind kind) {
   switch (kind) {
     case CcKind::kCubic: return "Cubic";
     case CcKind::kBbr: return "BBRv1";
-    case CcKind::kBbr2: return "BBRv2";
     case CcKind::kReno: return "NewReno";
   }
   return "?";
@@ -33,12 +31,6 @@ std::unique_ptr<CongestionController> make_congestion_controller(
       config.mss = mss;
       config.lt_bw_enabled = bbr_lt_bw;
       return std::make_unique<Bbr>(config);
-    }
-    case CcKind::kBbr2: {
-      Bbr2Config config;
-      config.initial_window_segments = initial_window_segments;
-      config.mss = mss;
-      return std::make_unique<Bbr2>(config);
     }
     case CcKind::kReno: {
       RenoConfig config;

@@ -10,10 +10,9 @@
 namespace qperc::cc {
 
 enum class CcKind {
-  kCubic,  // default for Linux TCP and gQUIC
-  kBbr,    // BBRv1 (the Table-1 "+BBR" rows)
-  kBbr2,   // BBRv2 — extension study (not available at paper time, §3 fn. 2)
-  kReno,   // NewReno — classic AIMD baseline for ablations
+  kCubic,     // default for Linux TCP and gQUIC
+  kBbr,       // BBRv1 (the Table-1 "+BBR" rows)
+  kReno = 3,  // NewReno — classic AIMD baseline for ablations (2 is retired)
 };
 
 [[nodiscard]] std::string_view to_string(CcKind kind);

@@ -24,7 +24,7 @@ std::uint64_t condition_base_seed(std::uint64_t catalog_seed, std::string_view s
 
 Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
                     const net::NetworkProfile& profile, std::uint32_t runs,
-                    std::uint64_t base_seed, trace::TraceSink* trace) {
+                    std::uint64_t base_seed, net::TransportStats* transport) {
   if (runs == 0) throw std::invalid_argument("produce_video: runs must be at least 1");
   Video video;
   video.site = site.name;
@@ -38,8 +38,7 @@ Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
   TrialContext context;
   for (std::uint32_t run = 0; run < runs; ++run) {
     Rng run_rng = seeder.fork(run + 1);
-    results.push_back(context.run(
-        TrialSpec(site, protocol, profile, run_rng.next_u64()).with_trace(trace)));
+    results.push_back(context.run(TrialSpec(site, protocol, profile, run_rng.next_u64())));
   }
 
   // Per-condition means of every metric.
@@ -50,6 +49,7 @@ Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
       sums[m] += result.metrics.metric_ms(m);
     }
     retx_sum += static_cast<double>(result.transport.retransmissions);
+    if (transport != nullptr) *transport += result.transport;
   }
   const auto n = static_cast<double>(results.size());
   video.mean_metrics.first_visual_change = from_seconds(sums[0] / n / 1000.0);

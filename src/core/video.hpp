@@ -46,13 +46,12 @@ struct Video {
 
 /// Records `runs` trials on one reused TrialContext and picks the typical one
 /// (closest-to-mean PLT). Throws std::invalid_argument when `runs` is 0.
-/// An optional trace sink observes every trial's event stream (aggregate
-/// counters, debugging); tracing never alters scheduling or RNG draws, so
-/// the returned Video is bit-identical with or without it.
+/// When `transport` is non-null it receives the sum of the trials'
+/// PageLoadResult::transport ledgers (campaign totals).
 [[nodiscard]] Video produce_video(const web::Website& site, const ProtocolConfig& protocol,
                                   const net::NetworkProfile& profile, std::uint32_t runs,
                                   std::uint64_t base_seed,
-                                  trace::TraceSink* trace = nullptr);
+                                  net::TransportStats* transport = nullptr);
 
 /// The (site, protocol, network) key both video stores sort by.
 using VideoKey = std::tuple<std::string, std::string, int>;

@@ -1,5 +1,7 @@
-// Counters shared by the TCP and QUIC stacks; feed the §4.3 retransmission
-// analysis and the ablation benches.
+// The one ledger of transport events, shared by the TCP and QUIC stacks and
+// bumped where they send, retransmit, time out and ACK. It feeds the §4.3
+// retransmission analysis, campaign totals and the ablation benches; the
+// trace events emitted at the same points are checked against it.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,8 @@ struct TransportStats {
     handshake_retransmissions += other.handshake_retransmissions;
     return *this;
   }
+
+  bool operator==(const TransportStats&) const = default;
 };
 
 }  // namespace qperc::net

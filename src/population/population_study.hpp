@@ -101,7 +101,7 @@ struct AbCell {
 /// The whole study state: O(1) in the participant count. Merging is plain
 /// integer addition per field, so it is commutative and associative exactly
 /// — any grouping of blocks into shards, merged in any order, produces the
-/// same bits (mirroring core::TrialCounters::merge).
+/// same bits (as campaign totals of net::TransportStats do).
 struct Accumulator {
   std::uint64_t participants = 0;
   std::uint64_t survivors = 0;

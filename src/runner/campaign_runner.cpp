@@ -9,19 +9,9 @@
 #include "core/video.hpp"
 #include "net/profile.hpp"
 #include "runner/executor.hpp"
-#include "trace/trace.hpp"
 #include "web/website.hpp"
 
 namespace qperc::runner {
-
-namespace {
-
-struct CounterSink final : trace::TraceSink {
-  trace::TrialCounters counters;
-  void on_event(const trace::Event& event) override { counters.observe(event); }
-};
-
-}  // namespace
 
 CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
                             const CampaignOptions& options) {
@@ -56,7 +46,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
   const auto start = std::chrono::steady_clock::now();
   std::mutex progress_mutex;
   std::size_t completed = 0;
-  trace::TrialCounters totals;
+  net::TransportStats totals;
   auto last_emit = start;
 
   const auto snapshot = [&]() {  // callers hold progress_mutex
@@ -65,7 +55,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
     progress.skipped = report.skipped;
     progress.pending = pending.size();
     progress.completed = completed;
-    progress.counters = totals;
+    progress.transport = totals;
     progress.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (progress.elapsed_seconds > 0.0 && completed > 0) {
@@ -84,10 +74,9 @@ CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
     const core::ProtocolConfig& protocol = core::protocol_by_name(task.protocol);
     const net::NetworkProfile& profile = net::profile_for(task.network);
 
-    CounterSink sink;
+    net::TransportStats transport;
     core::Video video =
-        core::produce_video(site, protocol, profile, spec.runs, task.base_seed,
-                            options.collect_counters ? &sink : nullptr);
+        core::produce_video(site, protocol, profile, spec.runs, task.base_seed, &transport);
     store.put(std::move(video));
 
     std::function<void(const CampaignProgress&)> emit;
@@ -95,7 +84,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
     {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       ++completed;
-      if (options.collect_counters) totals.merge(sink.counters);
+      totals += transport;
       const auto now = std::chrono::steady_clock::now();
       if (options.on_progress && now - last_emit >= options.progress_interval) {
         last_emit = now;
@@ -121,7 +110,7 @@ CampaignReport run_campaign(const CampaignSpec& spec, ResultStore& store,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   {
     const std::lock_guard<std::mutex> lock(progress_mutex);
-    report.counters = totals;
+    report.transport = totals;
     if (options.on_progress) options.on_progress(snapshot());
   }
   return report;

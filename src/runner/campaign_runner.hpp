@@ -9,9 +9,8 @@
 //
 // Progress: an optional callback receives throttled snapshots (at most one
 // per progress_interval, plus a final one) carrying completion counts,
-// rate, ETA, and the campaign-wide trace::TrialCounters aggregated from
-// every trial's qlog-style event stream (PR-1 trace layer). Attaching the
-// counter sinks never changes results — tracing is observation-only.
+// rate, ETA, and the campaign-wide sum of every trial's net::TransportStats
+// ledger. Campaign trials run untraced.
 #pragma once
 
 #include <chrono>
@@ -21,9 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "net/transport_stats.hpp"
 #include "runner/campaign.hpp"
 #include "runner/result_store.hpp"
-#include "trace/counters.hpp"
 
 namespace qperc::core {
 class VideoLibrary;
@@ -40,9 +39,9 @@ struct CampaignProgress {
   double tasks_per_second = 0.0;
   /// Estimated seconds until the pending tasks finish (0 when unknown).
   double eta_seconds = 0.0;
-  /// Aggregate of every completed trial's trace counters (zero when
-  /// collect_counters is off). Sum/max fields only; see TrialCounters::merge.
-  trace::TrialCounters counters;
+  /// Sum of every completed trial's transport ledger; integer sums, so the
+  /// total does not depend on task completion order.
+  net::TransportStats transport;
 };
 
 /// One grid cell whose every attempt threw; the campaign completed the
@@ -63,8 +62,6 @@ struct CampaignOptions {
   /// tests and the e2e harness to emulate an interrupted campaign at a
   /// deterministic point; the next --resume run picks up the rest.
   std::size_t max_tasks = 0;
-  /// Attach a per-task trace sink and aggregate TrialCounters campaign-wide.
-  bool collect_counters = true;
   /// Throttled progress callback (invoked from worker threads, serialized).
   std::function<void(const CampaignProgress&)> on_progress;
   std::chrono::milliseconds progress_interval{500};
@@ -75,7 +72,7 @@ struct CampaignReport {
   std::size_t skipped = 0;
   std::size_t executed = 0;  // attempted this run = completed + failures
   std::vector<CampaignFailure> failures;
-  trace::TrialCounters counters;
+  net::TransportStats transport;
   double elapsed_seconds = 0.0;
 };
 

@@ -15,8 +15,8 @@
 //     sum, sum of squares in 128 bits). Integer addition is associative and
 //     commutative, so merges are bit-identical under ANY grouping or order —
 //     the property the population study engine needs for byte-identical
-//     exports across job counts and shard layouts (the same reason
-//     trace::TrialCounters::merge is integer sums). The price is a bounded,
+//     exports across job counts and shard layouts (the same reason campaign
+//     totals are integer sums of net::TransportStats). The price is a bounded,
 //     deterministic quantization of ~5e-7 per observation.
 //
 // Inference helpers (confidence intervals, Welch's two-sample t, Wilson

@@ -9,78 +9,22 @@ void TrialCounters::observe(const Event& event) {
     case EventType::kHandshakeStarted:
       ++handshakes_started;
       break;
-    case EventType::kHandshakePacketSent:
-      ++handshake_packets;
-      break;
-    case EventType::kHandshakeRetransmitted:
-      ++handshake_retransmissions;
-      break;
     case EventType::kHandshakeCompleted:
       if (handshakes_completed == 0) {
         first_handshake_duration = SimDuration{static_cast<std::int64_t>(event.value)};
       }
       ++handshakes_completed;
       break;
-    case EventType::kPacketSent:
-      ++packets_sent;
-      break;
-    case EventType::kPacketReceived:
-      ++packets_received;
-      break;
-    case EventType::kAckSent:
-      ++acks_sent;
-      break;
-    case EventType::kStreamBlocked:
-      break;
     case EventType::kStreamUnblocked:
       stream_blocked_time += SimDuration{static_cast<std::int64_t>(event.value)};
       break;
-    case EventType::kPacketLost:
-      ++packets_lost;
-      break;
-    case EventType::kPacketRetransmitted:
-      ++packets_sent;  // a retransmission is also a transmission
-      ++retransmissions;
-      break;
-    case EventType::kRtoFired:
-      ++timeouts;
-      break;
-    case EventType::kTlpFired:
-      ++tail_probes;
-      break;
-    case EventType::kCongestionEvent:
-      ++congestion_events;
-      break;
     case EventType::kSpuriousLoss:
       ++spurious_losses;
-      if (event.value != 0) ++spurious_rtos;
       break;
     case EventType::kMetricsUpdated:
       ++cwnd_samples;
-      last_cwnd_bytes = event.value;
       max_cwnd_bytes = std::max(max_cwnd_bytes, event.value);
       max_bytes_in_flight = std::max(max_bytes_in_flight, event.bytes);
-      sum_bytes_in_flight += event.bytes;
-      break;
-    case EventType::kRequestSubmitted:
-      ++requests_submitted;
-      break;
-    case EventType::kResponseStarted:
-      break;
-    case EventType::kResponseComplete:
-      ++responses_completed;
-      break;
-    case EventType::kConnectionOpened:
-      ++connections_opened;
-      break;
-    case EventType::kObjectRequested:
-      break;
-    case EventType::kObjectComplete:
-      ++objects_completed;
-      break;
-    case EventType::kPageFinished:
-      break;
-    case EventType::kLinkEnqueued:
       break;
     case EventType::kLinkDroppedQueueFull:
       ++queue_drops;
@@ -106,53 +50,9 @@ void TrialCounters::observe(const Event& event) {
     case EventType::kLinkDroppedPolicer:
       ++policer_drops;
       break;
+    default:  // counted by net::TransportStats or PageLoadResult, or not at all
+      break;
   }
-}
-
-void TrialCounters::merge(const TrialCounters& other) {
-  handshakes_started += other.handshakes_started;
-  handshakes_completed += other.handshakes_completed;
-  handshake_packets += other.handshake_packets;
-  handshake_retransmissions += other.handshake_retransmissions;
-  if (other.first_handshake_duration.count() != 0 &&
-      (first_handshake_duration.count() == 0 ||
-       other.first_handshake_duration < first_handshake_duration)) {
-    first_handshake_duration = other.first_handshake_duration;
-  }
-  packets_sent += other.packets_sent;
-  packets_received += other.packets_received;
-  acks_sent += other.acks_sent;
-  retransmissions += other.retransmissions;
-  packets_lost += other.packets_lost;
-  timeouts += other.timeouts;
-  tail_probes += other.tail_probes;
-  congestion_events += other.congestion_events;
-  spurious_losses += other.spurious_losses;
-  spurious_rtos += other.spurious_rtos;
-  cwnd_samples += other.cwnd_samples;
-  max_cwnd_bytes = std::max(max_cwnd_bytes, other.max_cwnd_bytes);
-  last_cwnd_bytes = std::max(last_cwnd_bytes, other.last_cwnd_bytes);
-  max_bytes_in_flight = std::max(max_bytes_in_flight, other.max_bytes_in_flight);
-  sum_bytes_in_flight += other.sum_bytes_in_flight;
-  stream_blocked_time += other.stream_blocked_time;
-  queue_drops += other.queue_drops;
-  random_loss_drops += other.random_loss_drops;
-  link_deliveries += other.link_deliveries;
-  burst_loss_drops += other.burst_loss_drops;
-  outage_drops += other.outage_drops;
-  link_duplicates += other.link_duplicates;
-  link_reorders += other.link_reorders;
-  policer_drops += other.policer_drops;
-  requests_submitted += other.requests_submitted;
-  responses_completed += other.responses_completed;
-  connections_opened += other.connections_opened;
-  objects_completed += other.objects_completed;
-}
-
-TrialCounters compute_counters(std::span<const Event> events) {
-  TrialCounters counters;
-  for (const Event& event : events) counters.observe(event);
-  return counters;
 }
 
 }  // namespace qperc::trace

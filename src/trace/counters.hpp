@@ -1,44 +1,31 @@
-// Per-trial aggregate counters derived from a trace-event stream.
+// Per-trial aggregates that only a trace-event stream can give.
 //
-// Where a counter shadows a net::TransportStats field, the two are defined to
-// agree exactly (tests assert it): the events are emitted at the same program
-// points that bump the stats.
+// Counts of transport events are not here: net::TransportStats, bumped by the
+// TCP and QUIC stacks and returned in PageLoadResult::transport, is their one
+// ledger. The trace events emitted at the same program points are checked
+// against it (tests/trace_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "trace/trace.hpp"
 
 namespace qperc::trace {
 
 struct TrialCounters {
-  // transport
+  // handshakes
   std::uint64_t handshakes_started = 0;
   std::uint64_t handshakes_completed = 0;
-  std::uint64_t handshake_packets = 0;
-  std::uint64_t handshake_retransmissions = 0;
   /// Duration of the earliest-completed handshake (the root connection).
   SimDuration first_handshake_duration{0};
-  std::uint64_t packets_sent = 0;  // first transmissions + retransmissions
-  std::uint64_t packets_received = 0;
-  std::uint64_t acks_sent = 0;
 
   // recovery
-  std::uint64_t retransmissions = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t timeouts = 0;     // full RTOs (TCP) / repeated PTOs (QUIC)
-  std::uint64_t tail_probes = 0;  // TLPs (TCP) / PTO probes (QUIC)
-  std::uint64_t congestion_events = 0;
   std::uint64_t spurious_losses = 0;
-  std::uint64_t spurious_rtos = 0;  // spurious losses declared by an RTO
 
   // cwnd trajectory & bytes-in-flight samples (one per processed ACK)
   std::uint64_t cwnd_samples = 0;
   std::uint64_t max_cwnd_bytes = 0;
-  std::uint64_t last_cwnd_bytes = 0;
   std::uint64_t max_bytes_in_flight = 0;
-  std::uint64_t sum_bytes_in_flight = 0;
 
   /// Total time streams spent stalled on flow control (QUIC).
   SimDuration stream_blocked_time{0};
@@ -53,31 +40,8 @@ struct TrialCounters {
   std::uint64_t link_reorders = 0;     // packets given extra reordering delay
   std::uint64_t policer_drops = 0;     // token-bucket policer exhausted
 
-  // http / browser
-  std::uint64_t requests_submitted = 0;
-  std::uint64_t responses_completed = 0;
-  std::uint64_t connections_opened = 0;
-  std::uint64_t objects_completed = 0;
-
   /// Folds one event into the aggregates.
   void observe(const Event& event);
-
-  /// Folds another counter set into this one (campaign-wide aggregation
-  /// across trials). Counts and sums add, max_* fields take the maximum,
-  /// and first_handshake_duration keeps the minimum non-zero value — all
-  /// order-independent, so a merged total does not depend on task
-  /// completion order. last_cwnd_bytes has no cross-trial meaning and
-  /// keeps the larger value.
-  void merge(const TrialCounters& other);
-
-  [[nodiscard]] double mean_bytes_in_flight() const {
-    return cwnd_samples == 0
-               ? 0.0
-               : static_cast<double>(sum_bytes_in_flight) / static_cast<double>(cwnd_samples);
-  }
 };
-
-/// Aggregates a full event stream (e.g. MemorySink::events()).
-[[nodiscard]] TrialCounters compute_counters(std::span<const Event> events);
 
 }  // namespace qperc::trace

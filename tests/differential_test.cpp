@@ -13,7 +13,6 @@
 //
 //   * a fresh, untraced TrialContext (the reference);
 //   * a fresh context with a MemorySink attached;
-//   * a fresh context with a TrialCounters sink attached (what campaigns do);
 //   * one reused TrialContext cycling through the whole slice.
 //
 // The slice must contain queue-overflowing cells: droptail admission at a
@@ -40,7 +39,6 @@
 #include "runner/campaign_runner.hpp"
 #include "runner/result_store.hpp"
 #include "runner/torture.hpp"
-#include "trace/counters.hpp"
 #include "trace/memory_sink.hpp"
 #include "web/website.hpp"
 
@@ -48,11 +46,6 @@ namespace qperc {
 namespace {
 
 constexpr std::uint64_t kCatalogSeed = 7;
-
-struct CounterSink final : trace::TraceSink {
-  trace::TrialCounters counters;
-  void on_event(const trace::Event& event) override { counters.observe(event); }
-};
 
 struct Cell {
   std::string label;
@@ -191,19 +184,12 @@ const std::vector<std::string>& reference() {
 
 TEST(Differential, MemorySinkNeverChangesAResult) {
   trace::MemorySink sink;
+  std::size_t overflowing = 0;
   for (std::size_t i = 0; i < slice().size(); ++i) {
     sink.clear();
     EXPECT_TRUE(run_fresh(slice()[i].spec, &sink) == reference()[i]) << slice()[i].label;
     EXPECT_FALSE(sink.events().empty()) << slice()[i].label;
-  }
-}
-
-TEST(Differential, CounterSinkNeverChangesAResult) {
-  std::size_t overflowing = 0;
-  for (std::size_t i = 0; i < slice().size(); ++i) {
-    CounterSink sink;
-    EXPECT_TRUE(run_fresh(slice()[i].spec, &sink) == reference()[i]) << slice()[i].label;
-    if (sink.counters.queue_drops > 0) ++overflowing;
+    if (sink.count(trace::EventType::kLinkDroppedQueueFull) > 0) ++overflowing;
   }
   // Queue-overflowing cells are where the admission decision matters.
   EXPECT_GE(overflowing, 10u);
@@ -223,8 +209,8 @@ std::string record_of(const core::Video& video) {
   return os.str();
 }
 
-/// A campaign with default options (counters on) records the same stimuli
-/// the study's VideoLibrary computes.
+/// A campaign with default options records the same stimuli the study's
+/// VideoLibrary computes.
 TEST(Differential, CampaignRecordMatchesVideoLibrary) {
   runner::CampaignSpec spec;
   spec.sites = {"wikipedia.org"};

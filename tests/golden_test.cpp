@@ -2,10 +2,11 @@
 //
 // One full page-load trial per Table 1 protocol on two seed-fixed sites
 // (one small, one large/lossy), with every visual metric recorded as an
-// exact nanosecond count and the trace counters that summarize transport
-// behaviour. The expected values were captured from the pre-slab
-// scheduler; the zero-allocation event store must reproduce them bit for
-// bit — same FIFO tie-breaks, same RNG draw order, same packet schedule.
+// exact nanosecond count, plus the transport ledger and trace counters that
+// summarize transport behaviour. The expected values were captured from the
+// pre-slab scheduler; the zero-allocation event store must reproduce them
+// bit for bit — same FIFO tie-breaks, same RNG draw order, same packet
+// schedule.
 //
 // If a deliberate behaviour change invalidates these rows, re-capture them
 // with the snippet in EXPERIMENTS.md ("Benchmarking qperc") and say so in
@@ -45,7 +46,9 @@ struct GoldenRow {
   std::int64_t vc85_ns;
   std::int64_t lvc_ns;
   std::int64_t plt_ns;
-  // TrialCounters.
+  // PageLoadResult::transport (data_packets_sent .. acks_sent), the trace
+  // counters (max_cwnd_bytes .. handshakes_completed), and
+  // PageLoadResult::connections_opened.
   std::uint64_t packets_sent;
   std::uint64_t retransmissions;
   std::uint64_t timeouts;
@@ -113,16 +116,16 @@ TEST(Golden, TrialsAreBitExactPerTable1Protocol) {
     EXPECT_EQ(result.metrics.last_visual_change.count(), row.lvc_ns) << label;
     EXPECT_EQ(result.metrics.page_load_time.count(), row.plt_ns) << label;
 
+    EXPECT_EQ(result.transport.data_packets_sent, row.packets_sent) << label;
+    EXPECT_EQ(result.transport.retransmissions, row.retransmissions) << label;
+    EXPECT_EQ(result.transport.timeouts, row.timeouts) << label;
+    EXPECT_EQ(result.transport.acks_sent, row.acks_sent) << label;
     const trace::TrialCounters& counters = sink.counters();
-    EXPECT_EQ(counters.packets_sent, row.packets_sent) << label;
-    EXPECT_EQ(counters.retransmissions, row.retransmissions) << label;
-    EXPECT_EQ(counters.timeouts, row.timeouts) << label;
-    EXPECT_EQ(counters.acks_sent, row.acks_sent) << label;
     EXPECT_EQ(counters.max_cwnd_bytes, row.max_cwnd_bytes) << label;
     EXPECT_EQ(counters.queue_drops, row.queue_drops) << label;
     EXPECT_EQ(counters.random_loss_drops, row.random_loss_drops) << label;
     EXPECT_EQ(counters.handshakes_completed, row.handshakes_completed) << label;
-    EXPECT_EQ(counters.connections_opened, row.connections_opened) << label;
+    EXPECT_EQ(result.connections_opened, row.connections_opened) << label;
   }
 }
 

@@ -14,6 +14,7 @@
 //                  goodput, Jain's index, queue occupancy, QoE under load
 //   qperc bench throughput              steady-state trial throughput through
 //                  a reused TrialContext (trials/sec, allocations/trial)
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <chrono>
@@ -87,10 +88,11 @@ int usage() {
          "  campaign run    [--jobs J] [--shard I/N] [--resume] [--out DIR]\n"
          "                  [--sites N] [--runs R] [--seed K] [--protocols A,B]\n"
          "                  [--networks A,B] [--checkpoint-every N] [--max-tasks N]\n"
-         "                  [--retries N] [--no-counters] [--quiet]\n"
+         "                  [--retries N] [--quiet]\n"
          "  campaign status [--out DIR] [--sites N] [--runs R] [--seed K]\n"
          "                  [--protocols A,B] [--networks A,B]\n"
-         "  campaign export [--out DIR] [--runs R] [--seed K]\n"
+         "  campaign export [--out DIR] [--sites N] [--runs R] [--seed K]\n"
+         "                  [--protocols A,B] [--networks A,B]\n"
          "  fairness [--sites A,B] [--protocols A,B] [--networks A,B] [--flows N,M]\n"
          "           [--mix cubic|reno|bbr|quic|mixed,..] [--stagger-ms T,U]\n"
          "           [--runs R] [--seed K] [--burst-kb N] [--off-ms T]\n"
@@ -291,7 +293,7 @@ int cmd_trial(const Args& args) {
       apply_profile_overrides(network_by_name(args.get("network", "DSL")), args);
 
   // --trace: stream qlog-style events to a JSON Lines file while also
-  // folding them into the aggregate counters printed after the trial.
+  // folding them into the trace-only counters printed after the trial.
   struct TracingSink final : trace::TraceSink {
     explicit TracingSink(std::ostream& os) : jsonl(os) {}
     void on_event(const trace::Event& event) override {
@@ -331,9 +333,10 @@ int cmd_trial(const Args& args) {
               << "trace: handshakes " << counters.handshakes_completed << "/"
               << counters.handshakes_started << " (first "
               << fmt_ms(to_millis(counters.first_handshake_duration)) << ")"
-              << ", packets sent " << counters.packets_sent << ", retransmissions "
-              << counters.retransmissions << ", timeouts " << counters.timeouts
-              << ", spurious losses " << counters.spurious_losses << "\n"
+              << ", packets sent " << result.transport.data_packets_sent
+              << ", retransmissions " << result.transport.retransmissions << ", timeouts "
+              << result.transport.timeouts << ", spurious losses " << counters.spurious_losses
+              << "\n"
               << "trace: queue drops " << counters.queue_drops << ", random-loss drops "
               << counters.random_loss_drops << ", max cwnd " << counters.max_cwnd_bytes
               << " B, max in-flight " << counters.max_bytes_in_flight << " B\n";
@@ -384,19 +387,30 @@ int cmd_video(const Args& args) {
   return 0;
 }
 
-study::Group parse_group(const std::string& name) {
-  if (name == "lab") return study::Group::kLab;
-  if (name == "internet") return study::Group::kInternet;
-  return study::Group::kMicroworker;
+study::StudyKind kind_arg(const Args& args) {
+  const std::string kind = args.get("kind", "rating");
+  if (kind == "ab") return study::StudyKind::kAb;
+  if (kind == "rating") return study::StudyKind::kRating;
+  throw std::invalid_argument("--kind expects ab or rating, got '" + kind + "'");
+}
+
+study::Group group_arg(const Args& args) {
+  const std::string group = args.get("group", "uworker");
+  if (group == "lab") return study::Group::kLab;
+  if (group == "uworker") return study::Group::kMicroworker;
+  if (group == "internet") return study::Group::kInternet;
+  throw std::invalid_argument("--group expects lab, uworker or internet, got '" + group +
+                              "'");
 }
 
 int cmd_study(const Args& args) {
   core::VideoLibrary library(args.get_u64("seed", 7), runs_arg(args, 31));
-  const auto group = parse_group(args.get("group", "uworker"));
+  const auto kind = kind_arg(args);
+  const auto group = group_arg(args);
   const std::size_t site_budget = args.get_u64("sites", 36);
   const bool lab_only = site_budget <= web::lab_study_domains().size();
 
-  if (args.get("kind", "rating") == "ab") {
+  if (kind == study::StudyKind::kAb) {
     study::AbStudyConfig config;
     config.group = group;
     config.lab_domains_only = lab_only;
@@ -488,9 +502,8 @@ std::string link_conditions_file_tag(const net::LinkConditions& conditions) {
 
 population::StudySpec population_spec_from_args(const Args& args) {
   population::StudySpec spec;
-  spec.kind = args.get("kind", "rating") == "ab" ? study::StudyKind::kAb
-                                                 : study::StudyKind::kRating;
-  spec.group = parse_group(args.get("group", "uworker"));
+  spec.kind = kind_arg(args);
+  spec.group = group_arg(args);
   spec.participants = args.get_u64("participants", 10000);
   spec.seed = args.get_u64("seed", 7);
   spec.sites = args.get_u64("sites", 36);
@@ -815,8 +828,15 @@ std::vector<std::string> store_files(const std::string& out_dir,
   return files;
 }
 
+/// The stored results of the spec's grid (sites x protocols x networks),
+/// merged across every checkpoint file for its (seed, runs) pair.
 std::map<runner::ResultStore::Key, core::Video> merged_results(
     const std::string& out_dir, const runner::CampaignSpec& spec) {
+  const auto in_grid = [&spec](const core::Video& video) {
+    return std::ranges::find(spec.sites, video.site) != spec.sites.end() &&
+           std::ranges::find(spec.protocols, video.protocol) != spec.protocols.end() &&
+           std::ranges::find(spec.networks, video.network) != spec.networks.end();
+  };
   std::map<runner::ResultStore::Key, core::Video> merged;
   for (const auto& file : store_files(out_dir, spec)) {
     runner::ResultStore store(file, spec.seed, spec.runs);
@@ -826,6 +846,7 @@ std::map<runner::ResultStore::Key, core::Video> merged_results(
       continue;
     }
     store.for_each([&](const core::Video& video) {
+      if (!in_grid(video)) return;
       merged.insert_or_assign(
           runner::ResultStore::Key{video.site, video.protocol,
                                    static_cast<int>(video.network)},
@@ -856,15 +877,14 @@ int cmd_campaign_run(const Args& args) {
   options.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
   options.max_attempts = static_cast<unsigned>(args.get_u64("retries", 1)) + 1;
   options.max_tasks = args.get_u64("max-tasks", 0);
-  options.collect_counters = !args.has("no-counters");
   if (!args.has("quiet")) {
     options.on_progress = [](const runner::CampaignProgress& progress) {
       std::cerr << "\rcampaign: " << progress.completed << "/" << progress.pending
                 << " conditions (" << progress.skipped << " resumed), "
                 << fmt_fixed(progress.tasks_per_second, 2) << "/s, ETA "
                 << fmt_fixed(progress.eta_seconds, 0) << " s, packets "
-                << progress.counters.packets_sent << ", retx "
-                << progress.counters.retransmissions << "   " << std::flush;
+                << progress.transport.data_packets_sent << ", retx "
+                << progress.transport.retransmissions << "   " << std::flush;
     };
   }
 
@@ -875,13 +895,11 @@ int cmd_campaign_run(const Args& args) {
             << spec.grid_size() << "), " << report.skipped << " resumed, "
             << report.executed << " executed, " << report.failures.size() << " failed in "
             << fmt_fixed(report.elapsed_seconds, 1) << " s\n";
-  if (options.collect_counters) {
-    std::cerr << "campaign: totals — packets sent " << report.counters.packets_sent
-              << ", retransmissions " << report.counters.retransmissions << ", timeouts "
-              << report.counters.timeouts << ", handshakes "
-              << report.counters.handshakes_completed << ", queue drops "
-              << report.counters.queue_drops << "\n";
-  }
+  const net::TransportStats& totals = report.transport;
+  std::cerr << "campaign: totals — packets sent " << totals.data_packets_sent
+            << ", retransmissions " << totals.retransmissions << ", timeouts "
+            << totals.timeouts << ", handshake packets " << totals.handshake_packets
+            << ", congestion events " << totals.congestion_events << "\n";
   for (const auto& failure : report.failures) {
     std::cerr << "campaign: FAILED " << failure.task.site << "/" << failure.task.protocol
               << "/" << net::to_string(failure.task.network) << " after "
@@ -1274,17 +1292,17 @@ int cmd_campaign(int argc, char** argv) {
     return cmd_campaign_run(Args(argc, argv, 3, "campaign run",
                                  {"jobs", "shard", "resume", "out", "sites", "runs",
                                   "seed", "protocols", "networks", "checkpoint-every",
-                                  "max-tasks", "retries", "no-counters", "quiet"}));
+                                  "max-tasks", "retries", "quiet"}));
   }
   if (sub == "status") {
     return cmd_campaign_status(Args(argc, argv, 3, "campaign status",
                                     {"out", "sites", "runs", "seed", "protocols",
-                                     "networks", "shard"}));
+                                     "networks"}));
   }
   if (sub == "export") {
     return cmd_campaign_export(Args(argc, argv, 3, "campaign export",
                                     {"out", "sites", "runs", "seed", "protocols",
-                                     "networks", "shard"}));
+                                     "networks"}));
   }
   std::cerr << "unknown campaign subcommand '" << sub << "' (run|status|export)\n";
   return usage();
