@@ -55,9 +55,18 @@ Suppression, in two deliberately different shapes:
   * scripts/hotpath_allowlist.txt carries reviewed site-level exemptions for
     the budgeted allocations (per-origin sessions, warm-capacity container
     growth, result copy-out). Every entry names the rule, a demangled-symbol
-    regex for the function whose body references the banned symbol, and a
-    mandatory reason. Traversal continues past an allowlisted site; only the
-    one banned reference is excused.
+    regex for the site function, and a mandatory reason. An entry's site is
+    the named function together with the libstdc++ (std::, __gnu_cxx::)
+    functions and weak template or header-inline definitions that it calls,
+    followed transitively through such helpers only: exactly what the named
+    body holds when those helpers are inlined, so the verdict does not depend
+    on the optimization level and the scan holds in every Rel* build. The
+    walk visits (function, inherited entries) states, so the excuse is
+    carried per call path: a helper reached from a caller that no entry
+    names is still a finding, and its chain is that unexcused path. Strong
+    and local project functions and address-taken references inherit
+    nothing and must be named themselves. Traversal continues past an
+    allowlisted site; only the site's banned references are excused.
 
 The worst-case hot-path stack budget is summed from the compiler's `.su`
 stack-usage records over the hot call graph: the deepest synchronous call
@@ -79,6 +88,7 @@ allowlist).
 """
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -189,7 +199,8 @@ class Analysis:
     """Parsed object facts plus the derived call graph for one set of .o files."""
 
     def __init__(self):
-        # uid -> dict(section=..., size=..., obj=..., local=bool, func=bool, value=int)
+        # uid -> dict(section=..., size=..., obj=..., local=bool, weak=bool,
+        #             func=bool, value=int)
         self.symbols = {}
         # (obj_idx, section) -> sorted [(value, size, uid)] of defined symbols
         self.section_syms = {}
@@ -246,6 +257,7 @@ def parse_symbol_table(analysis, obj_idx, path):
             "size": int(size, 16),
             "obj": obj_idx,
             "local": local,
+            "weak": flags[1] == "w",
             "func": is_func,
         }
         # Comdat/weak symbols recur across objects with identical bodies;
@@ -524,10 +536,8 @@ class AllowEntry:
         self.line_no = line_no
         self.hits = 0
 
-    def covers(self, rule, demangled_site):
-        if "*" not in self.rules and rule not in self.rules:
-            return False
-        return bool(self.pattern.search(demangled_site))
+    def covers_rule(self, rule):
+        return "*" in self.rules or rule in self.rules
 
 
 def load_allowlist(path_or_lines, label="allowlist"):
@@ -627,76 +637,105 @@ class WalkResult:
         self.call_edges = {}        # uid -> set(uid), hot call edges
         self.cold_barriers = set()  # cold functions that cut the walk
         self.suppressed = []        # (entry, rule, site_uid, sink)
-        self.parents = {}
+
+
+def joins_caller_site(analysis, uid):
+    """True when a callee's body counts as part of its caller's allowlist
+    site: a libstdc++ function or a weak (template or header-inline)
+    definition — exactly the helpers whose bodies the optimizer may or may
+    not fold into the caller. Strong and local project functions keep their
+    own identity and must be named in the allowlist themselves."""
+    if analysis.symbols[uid]["weak"]:
+        return True
+    return su_key(analysis.dname(uid)).startswith(("std::", "__gnu_cxx::"))
 
 
 def walk(analysis, roots, allowlist):
-    result = WalkResult()
-    queue = list(roots)
-    for r in roots:
-        result.parents[r] = None
-        result.hot.add(r)
+    """Breadth-first reachability over (function, inherited entries) states.
 
-    def chain_of(uid):
+    A banned reference out of `src` is excused by an allowlist entry that
+    names `src` itself or that `src` inherited from its caller. Only a call
+    into a helper that joins the caller's site (joins_caller_site) passes
+    the caller's entries on, so the excuse is independent of what was
+    inlined, and is carried per call path: the same helper reached from a
+    non-allowlisted caller is a separate state, and its finding's chain is
+    that unexcused path."""
+    result = WalkResult()
+    start = [(r, frozenset()) for r in roots]
+    parents = dict.fromkeys(start)
+    queue = collections.deque(start)
+    result.hot.update(roots)
+    own_entries = {}
+    out_edges = {}
+
+    def chain_of(state):
         chain = []
-        cur = uid
-        while cur is not None:
-            chain.append(cur)
-            cur = result.parents.get(cur)
+        while state is not None:
+            chain.append(state[0])
+            state = parents[state]
         return list(reversed(chain))
 
-    seen_findings = set()
-    while queue:
-        src = queue.pop(0)
-        targets = set(analysis.edges.get(src, ()))
-        # Expand data references into (potential) function targets.
+    def edges_of(src):
+        # Data references expand into (potential) function targets.
         expanded = set()
-        for target, kind in sorted(targets):
+        for target, kind in analysis.edges.get(src, ()):
             entry = analysis.symbols.get(target)
-            if entry is not None and not entry["func"]:
+            if (entry is not None and not entry["func"]) or (
+                    entry is None and "@sect@" in target):
                 fns = set()
                 expand_data_node(analysis, target, fns, set())
-                for fn in fns:
-                    expanded.add((fn, "ref"))
-            elif entry is None and "@sect@" in target:
-                fns = set()
-                expand_data_node(analysis, target, fns, set())
-                for fn in fns:
-                    expanded.add((fn, "ref"))
+                expanded.update((fn, "ref") for fn in fns)
             else:
                 expanded.add((target, kind))
-        for target, kind in sorted(expanded):
-            # Same-address aliases (C1/C2 constructors): follow the node
-            # that actually carries the section's edges.
-            target = analysis.resolve(target)
+        # Same-address aliases (C1/C2 constructors): follow the node that
+        # actually carries the section's edges.
+        return sorted({(analysis.resolve(t), k) for t, k in expanded})
+
+    seen_findings = set()
+    seen_suppressed = set()
+    while queue:
+        state = queue.popleft()
+        src, inherited = state
+        if src not in out_edges:
+            out_edges[src] = edges_of(src)
+            own_entries[src] = frozenset(
+                i for i, e in enumerate(allowlist) if e.pattern.search(analysis.dname(src)))
+        site_entries = own_entries[src] | inherited
+        for target, kind in out_edges[src]:
             if is_cold(analysis, target):
                 result.cold_barriers.add(target)
                 continue
             rule = banned_rule(analysis, target)
             if rule is not None:
-                site_name = analysis.dname(src)
-                hit = next((e for e in allowlist if e.covers(rule, site_name)), None)
+                sink = analysis.raw_name(target)
+                hit = next((allowlist[i] for i in sorted(site_entries)
+                            if allowlist[i].covers_rule(rule)), None)
                 if hit is not None:
-                    hit.hits += 1
-                    result.suppressed.append((hit, rule, src, analysis.raw_name(target)))
+                    key = (hit.line_no, rule, src, sink)
+                    if key not in seen_suppressed:
+                        seen_suppressed.add(key)
+                        hit.hits += 1
+                        result.suppressed.append((hit, rule, src, sink))
                     continue
-                key = (rule, src, analysis.raw_name(target))
+                key = (rule, src, sink)
                 if key not in seen_findings:
                     seen_findings.add(key)
-                    result.findings.append(
-                        Finding(rule, chain_of(src), analysis.raw_name(target)))
+                    result.findings.append(Finding(rule, chain_of(state), sink))
                 continue
             entry = analysis.symbols.get(target)
             if entry is None or not entry["func"]:
                 continue  # extern, non-banned: no body to analyze
-            if kind == "call" and src in result.hot:
+            if kind == "call":
                 result.call_edges.setdefault(src, set()).add(target)
             if target not in result.hot:
                 result.hot.add(target)
-                result.parents[target] = src
                 if kind == "ref":
                     result.via_ref.add(target)
-                queue.append(target)
+            joins = kind == "call" and joins_caller_site(analysis, target)
+            next_state = (target, site_entries if joins else frozenset())
+            if next_state not in parents:
+                parents[next_state] = state
+                queue.append(next_state)
     return result
 
 
@@ -831,7 +870,7 @@ def scan_tree(args):
             print(f"  root: {analysis.dname(uid)}")
         for entry, rule, site, sink in result.suppressed:
             print(f"  allow[{rule}] {analysis.dname(site)} -> "
-                  f"{analysis.demangled.get(sink, sink)} ({entry.reason})")
+                  f"{analysis.demangled.get(sink, sink)} (line {entry.line_no}: {entry.reason})")
 
     used = {}
     for entry, _rule, _site, _sink in result.suppressed:

@@ -4,6 +4,7 @@
 
 #include "core/protocol.hpp"
 #include "util/arena.hpp"
+#include "util/check.hpp"
 
 namespace qperc::core {
 
@@ -17,36 +18,27 @@ constexpr std::uint32_t kCrossOriginBase = 0x40000000;
 /// backlogged elephant (1 TiB outlasts any trial by orders of magnitude).
 constexpr std::uint64_t kContinuousBytes = std::uint64_t{1} << 40;
 
+/// Builds one cross_protocol catalog entry. It runs once per process, behind
+/// the entry's magic-static guard, so it is off the hot path.
+QPERC_COLD_PATH ProtocolConfig make_cross_protocol(const char* name, Transport transport,
+                                                   cc::CcKind congestion_control, bool pacing) {
+  ProtocolConfig p;
+  p.name = name;
+  p.transport = transport;
+  p.congestion_control = congestion_control;
+  p.pacing = pacing;
+  return p;
+}
+
 [[nodiscard]] const ProtocolConfig& cross_protocol(net::CrossMix mix, std::uint32_t index) {
-  static const ProtocolConfig cubic = [] {
-    ProtocolConfig p;
-    p.name = "cross-cubic";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kCubic;
-    return p;
-  }();
-  static const ProtocolConfig reno = [] {
-    ProtocolConfig p;
-    p.name = "cross-reno";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kReno;
-    return p;
-  }();
-  static const ProtocolConfig bbr = [] {
-    ProtocolConfig p;
-    p.name = "cross-bbr";
-    p.transport = Transport::kTcp;
-    p.congestion_control = cc::CcKind::kBbr;
-    p.pacing = true;
-    return p;
-  }();
-  static const ProtocolConfig quic = [] {
-    ProtocolConfig p;
-    p.name = "cross-quic";
-    p.transport = Transport::kQuic;
-    p.congestion_control = cc::CcKind::kCubic;
-    return p;
-  }();
+  static const ProtocolConfig cubic =
+      make_cross_protocol("cross-cubic", Transport::kTcp, cc::CcKind::kCubic, false);
+  static const ProtocolConfig reno =
+      make_cross_protocol("cross-reno", Transport::kTcp, cc::CcKind::kReno, false);
+  static const ProtocolConfig bbr =
+      make_cross_protocol("cross-bbr", Transport::kTcp, cc::CcKind::kBbr, true);
+  static const ProtocolConfig quic =
+      make_cross_protocol("cross-quic", Transport::kQuic, cc::CcKind::kCubic, false);
   switch (mix) {
     case net::CrossMix::kCubic: return cubic;
     case net::CrossMix::kReno: return reno;
