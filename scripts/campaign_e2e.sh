@@ -7,6 +7,7 @@
 set -euo pipefail
 
 QPERC=${1:?usage: campaign_e2e.sh /path/to/qperc}
+QPERC="$(cd "$(dirname "$QPERC")" && pwd)/$(basename "$QPERC")"  # some checks cd
 WORKDIR=$(mktemp -d /tmp/qperc_campaign_e2e.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
 
@@ -87,5 +88,27 @@ done
 expect_usage_error campaign run "${GRID[@]}" --no-counters --out "$WORKDIR/bad"
 expect_usage_error campaign status "${GRID[@]}" --shard 0/2 --out "$WORKDIR/ref"
 expect_usage_error campaign export "${GRID[@]}" --shard 0/2 --out "$WORKDIR/ref"
+# A value flag needs its value: a bare one is never read as the string "true"
+# (that wrote a catalog file named `true` into the working directory).
+(cd "$WORKDIR" && expect_usage_error catalog --export)
+expect_usage_error campaign export "${GRID[@]}" --out
+expect_usage_error trial --trace
+# A boolean flag takes no value, so a token after it is a stray argument.
+expect_usage_error campaign run "${GRID[@]}" --quiet stray --out "$WORKDIR/bad"
+expect_usage_error campaign run "${GRID[@]}" --resume stray --out "$WORKDIR/bad"
+# Numbers parse whole: no trailing junk, no extra '/' part, no u32 wrap.
+expect_usage_error campaign run "${GRID[@]}" --shard 0/1junk --out "$WORKDIR/bad"
+expect_usage_error campaign run "${GRID[@]}" --shard 0/2/3 --out "$WORKDIR/bad"
+expect_usage_error campaign run "${GRID[@]}" --retries 4294967296 --out "$WORKDIR/bad"
+expect_usage_error trial --rate-schedule 0:5abc
+
+echo "== bench throughput --seed sets only the trial seed, never the page"
+mean_plt() {
+  "$QPERC" bench throughput --trials 5 "$@" | sed -n 4p | awk -F'|' '{print $5}'
+}
+test "$(mean_plt)" = "$(mean_plt --seed 1)" || {
+  echo "FAIL: bench throughput --seed 1 measured a different page than the default" >&2
+  exit 1
+}
 
 echo "campaign_e2e: OK"

@@ -328,6 +328,12 @@ std::string_view context_token(study::Context context) {
   return "?";
 }
 
+std::uint64_t owned_blocks(std::uint64_t participants, std::uint64_t block_size,
+                           unsigned shard_index, unsigned shard_count) {
+  const std::uint64_t total = (participants + block_size - 1) / block_size;
+  return total > shard_index ? (total - shard_index + shard_count - 1) / shard_count : 0;
+}
+
 Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
                            const RunOptions& options) {
   spec.validate();
@@ -350,16 +356,11 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
                         .fork(static_cast<std::uint64_t>(spec.group))
                         .next_u64();
 
-  const std::uint64_t total_blocks =
-      (spec.participants + options.block_size - 1) / options.block_size;
-  const std::uint64_t owned_blocks =
-      total_blocks > options.shard_index
-          ? (total_blocks - options.shard_index + options.shard_count - 1) /
-                options.shard_count
-          : 0;
+  const std::uint64_t owned = owned_blocks(spec.participants, options.block_size,
+                                           options.shard_index, options.shard_count);
 
   Report report;
-  report.owned_blocks = owned_blocks;
+  report.owned_blocks = owned;
   Accumulator master = make_accumulator(spec.kind);
   std::uint64_t blocks_done = 0;
 
@@ -368,14 +369,14 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
     store.emplace(options.checkpoint_path, spec.fingerprint(), options.shard_index,
                   options.shard_count, options.block_size);
     if (options.resume && store->load(master, blocks_done)) {
-      blocks_done = std::min(blocks_done, owned_blocks);
+      blocks_done = std::min(blocks_done, owned);
       report.resumed_blocks = blocks_done;
     }
   }
   const std::uint64_t resumed_participants = master.participants;
 
-  std::uint64_t limit = owned_blocks;
-  if (options.max_blocks != 0 && owned_blocks - blocks_done > options.max_blocks) {
+  std::uint64_t limit = owned;
+  if (options.max_blocks != 0 && owned - blocks_done > options.max_blocks) {
     limit = blocks_done + options.max_blocks;
   }
 
@@ -399,7 +400,7 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
   const auto started = std::chrono::steady_clock::now();
   const auto snapshot = [&] {
     Progress progress;
-    progress.participants_total = owned_blocks * options.block_size;
+    progress.participants_total = owned * options.block_size;
     progress.participants_done = master.participants;
     progress.resumed_participants = resumed_participants;
     progress.elapsed_seconds =

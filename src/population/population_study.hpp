@@ -172,6 +172,11 @@ struct Report {
   [[nodiscard]] bool complete() const { return blocks_done == owned_blocks; }
 };
 
+/// Blocks a shard owns when `participants` are cut into `block_size` blocks
+/// dealt out by index % shard_count.
+[[nodiscard]] std::uint64_t owned_blocks(std::uint64_t participants, std::uint64_t block_size,
+                                         unsigned shard_index, unsigned shard_count);
+
 /// Runs (this shard of) the streaming study against a shared video library.
 /// The library is warmed (precompute) on entry; workers then only read the
 /// cached stimuli. Throws on invalid spec/options or unwritable checkpoint.

@@ -114,8 +114,9 @@ std::uint64_t FairnessSpec::fingerprint() const {
   os << "\nstaggers";
   for (const auto stagger : staggers) os << '\n' << stagger.count();
   os << "\npattern\n" << burst_bytes << '\n' << off_time.count();
-  os << "\nschedule\n" << net::to_string(link_trace) << '\n' << link_trace_seed << '\n'
-     << policer_rate.bps() << '\n' << policer_burst_bytes;
+  os << "\nschedule\n" << net::to_string(conditions.link_trace) << '\n'
+     << conditions.link_trace_seed << '\n' << conditions.policer_rate.bps() << '\n'
+     << conditions.policer_burst_bytes;
   return fnv1a(os.str());
 }
 
@@ -252,11 +253,7 @@ FairnessCell run_cell(const FairnessTask& task, const FairnessSpec& spec,
   net::NetworkProfile profile = net::profile_for(task.network);
   // Spec-level variable-rate/policing knobs (shared by every cell, hashed
   // into the fingerprint so stores never alias across configurations).
-  net::LinkConditions{.link_trace = spec.link_trace,
-                      .link_trace_seed = spec.link_trace_seed,
-                      .policer_rate = spec.policer_rate,
-                      .policer_burst_bytes = spec.policer_burst_bytes}
-      .apply(profile);
+  spec.conditions.apply(profile);
 
   net::ContentionConfig config;
   config.flows = task.flows;

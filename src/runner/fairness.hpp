@@ -55,14 +55,9 @@ struct FairnessSpec {
   /// On-off pattern shared by every cell (not axes; see ContentionConfig).
   std::uint64_t burst_bytes = 0;
   SimDuration off_time{0};
-  /// Downlink rate-variation knob shared by every cell (not an axis):
-  /// kNone leaves profiles untouched; kLteTrace/kWifiTrace modulate each
-  /// cell's downlink with the synthetic trace seeded by link_trace_seed.
-  net::RateSchedule::Kind link_trace = net::RateSchedule::Kind::kNone;
-  std::uint64_t link_trace_seed = 1;
-  /// Token-bucket policer shared by every cell; zero rate disables it.
-  DataRate policer_rate{};
-  std::uint64_t policer_burst_bytes = 0;
+  /// Variable-rate trace and policer overlay shared by every cell (not an
+  /// axis); the default leaves every profile untouched.
+  net::LinkConditions conditions{};
   /// `--shard i/n`: this process executes cells with
   /// grid_index % shard_count == shard_index.
   unsigned shard_index = 0;

@@ -96,6 +96,7 @@ TEST(PopulationStudy, ShardSplitsMergeToTheUnshardedBytesInAnyOrder) {
   // Three shards, each with a DIFFERENT block size than the reference run —
   // participant identity, not work partitioning, determines every draw.
   std::vector<Accumulator> shards;
+  std::uint64_t owned_total = 0;
   for (unsigned i = 0; i < 3; ++i) {
     RunOptions options;
     options.jobs = 2;
@@ -104,8 +105,12 @@ TEST(PopulationStudy, ShardSplitsMergeToTheUnshardedBytesInAnyOrder) {
     options.block_size = 64;
     const auto report = run(spec, options);
     EXPECT_TRUE(report.complete());
+    // The formula `study report` checks shard files against.
+    EXPECT_EQ(report.owned_blocks, owned_blocks(spec.participants, 64, i, 3));
+    owned_total += report.owned_blocks;
     shards.push_back(report.accumulator);
   }
+  EXPECT_EQ(owned_total, 32U);  // ceil(2000 / 64): every block owned exactly once
   for (const auto& order : {std::vector<std::size_t>{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}) {
     Accumulator merged = make_accumulator(spec.kind);
     for (const std::size_t i : order) merged.merge(shards[i]);

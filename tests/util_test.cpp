@@ -1,5 +1,5 @@
 // Unit tests for util: RNG determinism/distributions, units, table printer,
-// SmallFunction callbacks, ring buffer, durable files.
+// SmallFunction callbacks, ring buffer, durable files, the CLI flag parser.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "util/args.hpp"
 #include "util/durable_file.hpp"
 #include "util/function.hpp"
 #include "util/ring_buffer.hpp"
@@ -403,6 +404,72 @@ TEST(DurableFile, FailedWriteLeavesTargetUnchangedAndNoTemp) {
   EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
   EXPECT_EQ(slurp(dir + "/keep"), "kept");
   std::filesystem::remove_all(dir);
+}
+
+const Flags kTestFlags = {
+    {"--out", "DIR", FlagKind::kValue}, {"--quiet", "", FlagKind::kBool},
+    {"--seed", "K", FlagKind::kU64},    {"--jobs", "J", FlagKind::kU32},
+    {"--loss", "P", FlagKind::kDouble}, {"--mix", "A,B", FlagKind::kList},
+    {"--shard", "I/N", FlagKind::kShard}};
+
+Args parse(std::vector<std::string> words) {
+  std::vector<char*> argv;
+  for (auto& word : words) argv.push_back(word.data());
+  return Args("test", kTestFlags, static_cast<int>(argv.size()), argv.data(), 0);
+}
+
+TEST(Args, ReadsEachKind) {
+  const Args args = parse({"--out", "dir", "--quiet", "--seed", "18446744073709551615", "--jobs",
+                           "4294967295", "--loss", "0.25", "--mix", ",cubic,,quic,", "--shard",
+                           "1/4"});
+  EXPECT_EQ(args.get("--out", "x"), "dir");
+  EXPECT_TRUE(args.has("--quiet"));
+  EXPECT_EQ(args.u64("--seed", 0), 18446744073709551615ULL);
+  EXPECT_EQ(args.u32("--jobs", 0), 4294967295U);
+  EXPECT_EQ(args.real("--loss", 0.0), 0.25);
+  EXPECT_EQ(args.list("--mix", ""), (std::vector<std::string>{"cubic", "quic"}));
+  unsigned index = 0;
+  unsigned count = 1;
+  args.shard(index, count);
+  EXPECT_EQ(index, 1U);
+  EXPECT_EQ(count, 4U);
+}
+
+TEST(Args, AbsentFlagsYieldFallbacksAndRepeatsKeepTheLast) {
+  const Args args = parse({"--seed", "1", "--seed", "2"});
+  EXPECT_EQ(args.u64("--seed", 7), 2U);
+  EXPECT_EQ(args.u32("--jobs", 3), 3U);
+  EXPECT_EQ(args.get("--out", "out/x"), "out/x");
+  EXPECT_FALSE(args.has("--quiet"));
+  unsigned index = 0;
+  unsigned count = 1;
+  args.shard(index, count);
+  EXPECT_EQ(count, 1U);
+}
+
+TEST(Args, RejectsEveryMalformedCommandLine) {
+  // Undeclared and positional words; value flags without a value; a value
+  // after a boolean; numbers with junk, a sign, or past their type's range
+  // (a u32 never wraps); shards that are not exactly two u32s around one '/'.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--nope"},
+      {"stray"},
+      {"--out"},
+      {"--out", "--quiet"},
+      {"--quiet", "stray"},
+      {"--seed", "12junk"},
+      {"--seed", "-1"},
+      {"--seed", "18446744073709551616"},
+      {"--jobs", "4294967296"},
+      {"--loss", "0.5x"},
+      {"--shard", "0/1junk"},
+      {"--shard", "0/2/3"},
+      {"--shard", "1"},
+      {"--shard", "4294967296/2"},
+  };
+  for (const auto& words : bad) {
+    EXPECT_THROW(static_cast<void>(parse(words)), std::invalid_argument) << words.back();
+  }
 }
 
 }  // namespace

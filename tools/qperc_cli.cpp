@@ -1,31 +1,20 @@
 // qperc — command-line frontend for the testbed and the user studies.
 //
-//   qperc catalog                       list the 36 study websites
-//   qperc protocols                     list protocol configurations
-//   qperc networks                      list emulated networks
-//   qperc trial    --site S --protocol P --network N [--seed K] [--csv]
-//                  [--trace out.jsonl]
-//   qperc video    --site S --protocol P --network N [--runs R] [--seed K]
-//   qperc study    --kind ab|rating [--group lab|uworker|internet]
-//                  [--runs R] [--sites N] [--seed K]
-//   qperc campaign run|status|export    the full experiment grid as a
-//                  durable, resumable, parallel campaign (src/runner)
-//   qperc fairness --flows N --mix M    multi-flow contention cells: per-flow
-//                  goodput, Jain's index, queue occupancy, QoE under load
-//   qperc bench throughput              steady-state trial throughput through
-//                  a reused TrialContext (trials/sec, allocations/trial)
+// Every command is one row of the command table near the bottom of this
+// file; running `qperc` with no arguments prints the usage text generated
+// from it.
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -58,53 +47,7 @@
 namespace qperc::cli {
 namespace {
 
-int usage() {
-  std::cerr
-      << "usage: qperc <command> [flags]\n"
-         "  catalog [--export FILE] [--catalog FILE] | protocols | networks\n"
-         "  trial --site S --protocol P --network N [--seed K] [--csv]\n"
-         "        [--catalog FILE] [--trace out.jsonl] [--max-events N]\n"
-         "        [--loss P] [--uplink-mbps M] [--downlink-mbps M] [--rtt-ms T]\n"
-         "        [--queue-ms T] [--reorder-rate P --reorder-min-ms T --reorder-max-ms T]\n"
-         "        [--dup-rate P] [--ge-enter P --ge-exit P --ge-loss-good P --ge-loss-bad P]\n"
-         "        [--outage-start-ms T --outage-ms T [--outage-interval-ms T]]\n"
-         "        [--rate-schedule ms:mbps,ms:mbps,...] [--link-trace lte|wifi]\n"
-         "        [--link-trace-seed K] [--policer-rate-mbps M [--policer-burst-kb N]]\n"
-         "  torture [--seed K] [--grid small|full] [--max-events N] [--quiet]\n"
-         "  video --site S --protocol P --network N [--runs R] [--seed K]\n"
-         "  study --kind ab|rating [--group lab|uworker|internet] [--runs R]\n"
-         "        [--sites N] [--seed K]\n"
-         "  study run    [--kind ab|rating] [--group G] [--participants N] [--jobs J]\n"
-         "               [--shard I/N] [--resume] [--out DIR] [--export FILE]\n"
-         "               [--seed K] [--sites N] [--runs R] [--block-size B]\n"
-         "               [--max-blocks N] [--checkpoint-every N] [--videos-work N]\n"
-         "               [--videos-free N] [--videos-plane N] [--videos-ab N]\n"
-         "               [--link-trace lte|wifi] [--link-trace-seed K]\n"
-         "               [--policer-rate-mbps M [--policer-burst-kb N]] [--quiet]\n"
-         "  study report [--kind ab|rating] [--group G] [--participants N] [--out DIR]\n"
-         "               [--export FILE] [--seed K] [--sites N] [--runs R]\n"
-         "               [--link-trace lte|wifi] [--link-trace-seed K]\n"
-         "               [--policer-rate-mbps M [--policer-burst-kb N]]\n"
-         "  campaign run    [--jobs J] [--shard I/N] [--resume] [--out DIR]\n"
-         "                  [--sites N] [--runs R] [--seed K] [--protocols A,B]\n"
-         "                  [--networks A,B] [--checkpoint-every N] [--max-tasks N]\n"
-         "                  [--retries N] [--quiet]\n"
-         "  campaign status [--out DIR] [--sites N] [--runs R] [--seed K]\n"
-         "                  [--protocols A,B] [--networks A,B]\n"
-         "  campaign export [--out DIR] [--sites N] [--runs R] [--seed K]\n"
-         "                  [--protocols A,B] [--networks A,B]\n"
-         "  fairness [--sites A,B] [--protocols A,B] [--networks A,B] [--flows N,M]\n"
-         "           [--mix cubic|reno|bbr|quic|mixed,..] [--stagger-ms T,U]\n"
-         "           [--runs R] [--seed K] [--burst-kb N] [--off-ms T]\n"
-         "           [--link-trace lte|wifi] [--link-trace-seed K]\n"
-         "           [--policer-rate-mbps M [--policer-burst-kb N]] [--jobs J]\n"
-         "           [--shard I/N] [--resume] [--out DIR] [--export FILE]\n"
-         "           [--max-cells N] [--retries N] [--checkpoint-every N]\n"
-         "           [--report] [--quiet]\n"
-         "  bench throughput [--site S] [--protocol P] [--network N] [--trials N]\n"
-         "                  [--warmup N] [--seed K] [--catalog FILE]\n";
-  return 2;
-}
+// --- Shared argument readers ---------------------------------------------------
 
 const net::NetworkProfile& network_by_name(const std::string& name) {
   for (const auto& profile : net::all_profiles()) {
@@ -113,76 +56,196 @@ const net::NetworkProfile& network_by_name(const std::string& name) {
   throw std::invalid_argument("unknown network '" + name + "' (DSL, LTE, DA2GC, MSS)");
 }
 
-/// --runs as a trial count: at least one, and small enough for std::uint32_t
-/// (a larger value would silently wrap, 2^32 to zero).
-std::uint32_t runs_arg(const Args& args, std::uint32_t fallback) {
-  const std::uint64_t runs = args.get_u64("runs", fallback);
-  if (runs == 0 || runs > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("--runs expects 1.." +
-                                std::to_string(std::numeric_limits<std::uint32_t>::max()) +
-                                ", got " + std::to_string(runs));
+const web::Website& site_by_name(const std::vector<web::Website>& catalog,
+                                 const std::string& name) {
+  for (const auto& site : catalog) {
+    if (site.name == name) return site;
   }
-  return static_cast<std::uint32_t>(runs);
+  throw std::invalid_argument("unknown site '" + name + "' — see `qperc catalog`");
 }
 
-std::vector<web::Website> resolve_catalog(const Args& args) {
-  if (args.has("catalog")) return web::load_catalog(args.get("catalog", ""));
-  return web::study_catalog(args.get_u64("seed", 7));
+/// --runs as a trial count: at least one (the u32 kind already rejects a
+/// value that would wrap, 2^32 to zero).
+std::uint32_t runs_arg(const Args& args, std::uint32_t fallback) {
+  const std::uint32_t runs = args.u32("--runs", fallback);
+  if (runs == 0) throw std::invalid_argument("--runs expects 1..4294967295, got 0");
+  return runs;
 }
 
-/// Applies the profile/impairment override flags shared by `trial`, then
+/// --catalog FILE, else the study catalog generated from `seed`.
+std::vector<web::Website> resolve_catalog(const Args& args, std::uint64_t seed) {
+  if (args.has("--catalog")) return web::load_catalog(args.get("--catalog", ""));
+  return web::study_catalog(seed);
+}
+
+SimDuration from_ms(double ms) { return from_seconds(ms / 1e3); }
+
+/// The grid flags campaign and fairness share: --seed, --runs, the validated
+/// --protocols/--networks lists and --shard. What the caller left in `spec`
+/// is the default of each flag not given.
+template <class Spec>
+void grid_from_args(const Args& args, Spec& spec) {
+  spec.seed = args.u64("--seed", spec.seed);
+  spec.runs = runs_arg(args, spec.runs);
+  if (args.has("--protocols")) {
+    spec.protocols.clear();
+    for (const auto& name : args.list("--protocols", "")) {
+      spec.protocols.push_back(core::protocol_by_name(name).name);  // validates
+    }
+  }
+  if (args.has("--networks")) {
+    spec.networks.clear();
+    for (const auto& name : args.list("--networks", "")) {
+      spec.networks.push_back(network_by_name(name).kind);
+    }
+  }
+  args.shard(spec.shard_index, spec.shard_count);
+}
+
+/// The grid-wide variable-rate/policing overlay (--link-trace
+/// [--link-trace-seed], --policer-rate-mbps [--policer-burst-kb]) of trial,
+/// fairness and the population studies.
+net::LinkConditions link_conditions_from_args(const Args& args) {
+  net::LinkConditions conditions;
+  if (args.has("--link-trace")) {
+    // Synthetic Mahimahi-style variable-rate trace modulating the downlink
+    // around its base rate. (Not `--trace`: that flag already names the
+    // JSONL event-trace output path.)
+    const std::string kind = args.get("--link-trace", "");
+    if (kind == "lte") {
+      conditions.link_trace = net::RateSchedule::Kind::kLteTrace;
+    } else if (kind == "wifi") {
+      conditions.link_trace = net::RateSchedule::Kind::kWifiTrace;
+    } else {
+      throw std::invalid_argument("--link-trace expects lte or wifi, got '" + kind + "'");
+    }
+    conditions.link_trace_seed = args.u64("--link-trace-seed", 1);
+  }
+  if (args.has("--policer-rate-mbps")) {
+    conditions.policer_rate =
+        DataRate::megabits_per_second(args.real("--policer-rate-mbps", 0.0));
+    // Carrier policers are commonly provisioned with bursts in the tens of
+    // kilobytes; 64 kB is the documented default, override with --policer-burst-kb.
+    conditions.policer_burst_bytes = args.u64("--policer-burst-kb", 64) * 1024;
+  }
+  return conditions;
+}
+
+/// File-name fragment for an enabled overlay ("" when none): caches and
+/// checkpoints taken under different conditions land in different files
+/// (their headers/fingerprints would refuse to mix regardless).
+std::string link_conditions_file_tag(const net::LinkConditions& conditions) {
+  if (!conditions.any()) return "";
+  std::string tag;
+  if (conditions.link_trace != net::RateSchedule::Kind::kNone) {
+    tag += std::string("_") + net::to_string(conditions.link_trace) +
+           std::to_string(conditions.link_trace_seed);
+  }
+  if (!conditions.policer_rate.is_zero()) {
+    tag += "_pol" + std::to_string(conditions.policer_rate.bps()) + "b" +
+           std::to_string(conditions.policer_burst_bytes);
+  }
+  return tag;
+}
+
+// --- Store files -----------------------------------------------------------------
+//
+// Every store is named "<identity prefix>[_shard<I>of<N>]<ext>" inside --out;
+// status, export and report merge whatever files carry the prefix, so they
+// see the merged progress of a multi-process fan-out under any shard split.
+
+std::string shard_file_name(const std::string& prefix, unsigned shard_index,
+                            unsigned shard_count, std::string_view ext) {
+  std::string name = prefix;
+  if (shard_count > 1) {
+    name += "_shard" + std::to_string(shard_index) + "of" + std::to_string(shard_count);
+  }
+  return name + std::string(ext);
+}
+
+/// The regular files in `dir` named `<prefix>*<ext>`, sorted.
+std::vector<std::string> files_with_prefix(const std::string& dir, const std::string& prefix,
+                                           std::string_view ext) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(prefix) && name.ends_with(ext)) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// "campaign_seed7_runs31": the identity prefix of a campaign or fairness store.
+std::string seed_runs_prefix(std::string_view stem, std::uint64_t seed, std::uint32_t runs) {
+  return std::string(stem) + "_seed" + std::to_string(seed) + "_runs" + std::to_string(runs);
+}
+
+/// --export FILE, if given: writes the canonical export through `write`,
+/// failing loudly on any I/O error, and says where it went.
+void export_if_asked(const Args& args, std::string_view done,
+                     const std::function<void(std::ostream&)>& write) {
+  if (!args.has("--export")) return;
+  const std::string path = args.get("--export", "");
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot write export file " + path);
+  write(out);
+  out.flush();
+  if (!out) throw std::runtime_error("failed writing export file " + path);
+  std::cerr << done << path << "\n";
+}
+
+/// --resume: loads a store's own checkpoint, saying what was found.
+template <class Store>
+void resume_if_asked(const Args& args, Store& store, std::string_view who,
+                     std::string_view units) {
+  if (!args.has("--resume")) return;
+  if (store.load()) {
+    std::cerr << who << ": resuming — " << store.size() << " " << units
+              << " already checkpointed in " << store.path() << "\n";
+  } else {
+    std::cerr << who << ": no usable checkpoint at " << store.path() << ", starting fresh\n";
+  }
+}
+
+// --- qperc catalog / protocols / networks / trial / video / study ------------------
+
+/// Applies `trial`'s profile/impairment overrides and link overlay, then
 /// validates so an out-of-range value (negative loss, zero bandwidth, ...)
 /// fails here with an actionable message instead of misbehaving in the sim.
 net::NetworkProfile apply_profile_overrides(net::NetworkProfile profile, const Args& args) {
-  if (args.has("loss")) profile.loss_rate = args.get_double("loss", 0.0);
-  if (args.has("uplink-mbps")) {
-    profile.uplink = DataRate::megabits_per_second(args.get_double("uplink-mbps", 0.0));
-  }
-  if (args.has("downlink-mbps")) {
-    profile.downlink = DataRate::megabits_per_second(args.get_double("downlink-mbps", 0.0));
-  }
-  if (args.has("rtt-ms")) {
-    profile.min_rtt = from_seconds(args.get_double("rtt-ms", 0.0) / 1e3);
-  }
-  if (args.has("queue-ms")) {
-    profile.queue_delay = from_seconds(args.get_double("queue-ms", 0.0) / 1e3);
-  }
   net::LinkImpairments& imp = profile.impairments;
-  if (args.has("reorder-rate")) imp.reorder_rate = args.get_double("reorder-rate", 0.0);
-  if (args.has("reorder-min-ms")) {
-    imp.reorder_delay_min = from_seconds(args.get_double("reorder-min-ms", 0.0) / 1e3);
+  net::GilbertElliott& ge = imp.gilbert_elliott;
+  profile.loss_rate = args.real("--loss", profile.loss_rate);
+  imp.reorder_rate = args.real("--reorder-rate", imp.reorder_rate);
+  imp.duplicate_rate = args.real("--dup-rate", imp.duplicate_rate);
+  ge.enter_bad = args.real("--ge-enter", ge.enter_bad);
+  ge.exit_bad = args.real("--ge-exit", ge.exit_bad);
+  ge.loss_good = args.real("--ge-loss-good", ge.loss_good);
+  ge.loss_bad = args.real("--ge-loss-bad", ge.loss_bad);
+  const auto mbps = [&args](std::string_view flag, DataRate& rate) {
+    if (args.has(flag)) rate = DataRate::megabits_per_second(args.real(flag, 0.0));
+  };
+  mbps("--uplink-mbps", profile.uplink);
+  mbps("--downlink-mbps", profile.downlink);
+  const auto millis = [&args](std::string_view flag, SimDuration& duration) {
+    if (args.has(flag)) duration = from_ms(args.real(flag, 0.0));
+  };
+  millis("--rtt-ms", profile.min_rtt);
+  millis("--queue-ms", profile.queue_delay);
+  millis("--reorder-min-ms", imp.reorder_delay_min);
+  millis("--reorder-max-ms", imp.reorder_delay_max);
+  millis("--outage-ms", imp.outage_duration);
+  millis("--outage-interval-ms", imp.outage_interval);
+  if (args.has("--outage-start-ms")) {
+    imp.outage_start = SimTime{from_ms(args.real("--outage-start-ms", 0.0))};
   }
-  if (args.has("reorder-max-ms")) {
-    imp.reorder_delay_max = from_seconds(args.get_double("reorder-max-ms", 0.0) / 1e3);
-  }
-  if (args.has("dup-rate")) imp.duplicate_rate = args.get_double("dup-rate", 0.0);
-  if (args.has("ge-enter")) imp.gilbert_elliott.enter_bad = args.get_double("ge-enter", 0.0);
-  if (args.has("ge-exit")) imp.gilbert_elliott.exit_bad = args.get_double("ge-exit", 0.0);
-  if (args.has("ge-loss-good")) {
-    imp.gilbert_elliott.loss_good = args.get_double("ge-loss-good", 0.0);
-  }
-  if (args.has("ge-loss-bad")) {
-    imp.gilbert_elliott.loss_bad = args.get_double("ge-loss-bad", 0.0);
-  }
-  if (args.has("outage-start-ms")) {
-    imp.outage_start = SimTime{from_seconds(args.get_double("outage-start-ms", 0.0) / 1e3)};
-  }
-  if (args.has("outage-ms")) {
-    imp.outage_duration = from_seconds(args.get_double("outage-ms", 0.0) / 1e3);
-  }
-  if (args.has("outage-interval-ms")) {
-    imp.outage_interval = from_seconds(args.get_double("outage-interval-ms", 0.0) / 1e3);
-  }
-  if (args.has("policer-rate-mbps")) {
-    imp.policer_rate =
-        DataRate::megabits_per_second(args.get_double("policer-rate-mbps", 0.0));
-    // Carrier policers are commonly provisioned with bursts in the tens of
-    // kilobytes; 64 kB is the documented default, override with --policer-burst-kb.
-    imp.policer_burst_bytes = args.get_u64("policer-burst-kb", 64) * 1024;
-  }
-  if (args.has("rate-schedule")) {
+  if (args.has("--rate-schedule")) {
     // "ms:mbps,ms:mbps,..." — step changes of the downlink serialization rate.
-    const auto parts = split_csv(args.get("rate-schedule", ""));
+    const auto parts = args.list("--rate-schedule", "");
     if (parts.empty() || parts.size() > net::RateSchedule::kMaxSteps) {
       throw std::invalid_argument(
           "--rate-schedule expects 1.." + std::to_string(net::RateSchedule::kMaxSteps) +
@@ -190,46 +253,28 @@ net::NetworkProfile apply_profile_overrides(net::NetworkProfile profile, const A
     }
     std::array<net::RateStep, net::RateSchedule::kMaxSteps> steps{};
     for (std::size_t i = 0; i < parts.size(); ++i) {
-      const auto colon = parts[i].find(':');
-      if (colon == std::string::npos) {
-        throw std::invalid_argument("--rate-schedule step '" + parts[i] +
-                                    "' is not ms:mbps");
+      const std::string_view step = parts[i];
+      const auto colon = step.find(':');
+      if (colon == std::string_view::npos) {
+        throw std::invalid_argument("--rate-schedule step '" + parts[i] + "' is not ms:mbps");
       }
-      try {
-        steps[i].at = from_seconds(std::stod(parts[i].substr(0, colon)) / 1e3);
-        steps[i].rate =
-            DataRate::megabits_per_second(std::stod(parts[i].substr(colon + 1)));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("--rate-schedule step '" + parts[i] +
-                                    "' is not ms:mbps");
-      }
+      steps[i].at = from_ms(parse_number<double>(step.substr(0, colon), "--rate-schedule"));
+      steps[i].rate = DataRate::megabits_per_second(
+          parse_number<double>(step.substr(colon + 1), "--rate-schedule"));
     }
     profile.downlink_schedule = net::RateSchedule::steps(steps.data(), parts.size());
   }
-  if (args.has("link-trace")) {
-    // Synthetic Mahimahi-style variable-rate trace modulating the downlink
-    // around its base rate. (The ISSUE sketch called this `--trace`, but that
-    // flag already names the JSONL event-trace output path.)
-    const std::string kind = args.get("link-trace", "lte");
-    const std::uint64_t trace_seed = args.get_u64("link-trace-seed", 1);
-    if (kind == "lte") {
-      profile.downlink_schedule = net::RateSchedule::lte_trace(profile.downlink, trace_seed);
-    } else if (kind == "wifi") {
-      profile.downlink_schedule =
-          net::RateSchedule::wifi_trace(profile.downlink, trace_seed);
-    } else {
-      throw std::invalid_argument("--link-trace expects lte or wifi, got '" + kind + "'");
-    }
-  }
-  profile.validate();
+  // After the scalar overrides, so a --link-trace derives from the overridden
+  // downlink (and replaces any --rate-schedule); apply() validates the profile.
+  link_conditions_from_args(args).apply(profile);
   return profile;
 }
 
 int cmd_catalog(const Args& args) {
-  const auto catalog = resolve_catalog(args);
-  if (args.has("export")) {
-    web::save_catalog(args.get("export", "catalog.txt"), catalog);
-    std::cout << "wrote " << args.get("export", "catalog.txt") << " (" << catalog.size()
+  const auto catalog = resolve_catalog(args, args.u64("--seed", 7));
+  if (args.has("--export")) {
+    web::save_catalog(args.get("--export", ""), catalog);
+    std::cout << "wrote " << args.get("--export", "") << " (" << catalog.size()
               << " sites)\n";
     return 0;
   }
@@ -243,7 +288,7 @@ int cmd_catalog(const Args& args) {
   return 0;
 }
 
-int cmd_protocols() {
+int cmd_protocols(const Args& /*args*/) {
   TextTable table({"Protocol", "Transport", "CC", "IW", "Pacing", "Buffers", "RTTs"});
   const auto add = [&](const core::ProtocolConfig& protocol) {
     const char* transport = protocol.transport == core::Transport::kQuic ? "gQUIC"
@@ -265,7 +310,7 @@ int cmd_protocols() {
   return 0;
 }
 
-int cmd_networks() {
+int cmd_networks(const Args& /*args*/) {
   TextTable table({"Network", "Up", "Down", "minRTT", "Loss", "Queue"});
   for (const auto& profile : net::all_profiles()) {
     table.add_row({profile.name, fmt_fixed(profile.uplink.megabits(), 3) + " Mbps",
@@ -278,19 +323,11 @@ int cmd_networks() {
 }
 
 int cmd_trial(const Args& args) {
-  const auto catalog = resolve_catalog(args);
-  const std::string site_name = args.get("site", "wikipedia.org");
-  const web::Website* site = nullptr;
-  for (const auto& candidate : catalog) {
-    if (candidate.name == site_name) site = &candidate;
-  }
-  if (site == nullptr) {
-    std::cerr << "unknown site '" << site_name << "' — see `qperc catalog`\n";
-    return 2;
-  }
-  const auto& protocol = core::protocol_by_name(args.get("protocol", "QUIC"));
+  const auto catalog = resolve_catalog(args, args.u64("--seed", 7));
+  const web::Website& site = site_by_name(catalog, args.get("--site", "wikipedia.org"));
+  const auto& protocol = core::protocol_by_name(args.get("--protocol", "QUIC"));
   const net::NetworkProfile profile =
-      apply_profile_overrides(network_by_name(args.get("network", "DSL")), args);
+      apply_profile_overrides(network_by_name(args.get("--network", "DSL")), args);
 
   // --trace: stream qlog-style events to a JSON Lines file while also
   // folding them into the trace-only counters printed after the trial.
@@ -305,31 +342,26 @@ int cmd_trial(const Args& args) {
   };
   std::ofstream trace_file;
   std::unique_ptr<TracingSink> sink;
-  if (args.has("trace")) {
-    const std::string path = args.get("trace", "trace.jsonl");
-    if (path == "true") {  // bare `--trace`: the parser's boolean-flag value
-      std::cerr << "--trace requires an output path, e.g. --trace out.jsonl\n";
-      return 2;
-    }
-    trace_file.open(path);
+  const std::string trace_path = args.get("--trace", "");
+  if (args.has("--trace")) {
+    trace_file.open(trace_path);
     if (!trace_file) {
-      std::cerr << "cannot open trace file '" << path << "'\n";
+      std::cerr << "cannot open trace file '" << trace_path << "'\n";
       return 2;
     }
     sink = std::make_unique<TracingSink>(trace_file);
   }
 
   const auto result = core::run_trial(
-      core::TrialSpec(*site, protocol, profile, args.get_u64("seed", 7))
+      core::TrialSpec(site, protocol, profile, args.u64("--seed", 7))
           .with_trace(sink ? sink.get() : nullptr)
-          .with_max_events(
-              args.get_u64("max-events", sim::Simulator::kDefaultEventCap)));
+          .with_max_events(args.u64("--max-events", sim::Simulator::kDefaultEventCap)));
 
   if (sink) {
     trace_file.flush();
     const trace::TrialCounters& counters = sink->counters;
     std::cerr << "trace: wrote " << sink->jsonl.events_written() << " events to "
-              << args.get("trace", "trace.jsonl") << "\n"
+              << trace_path << "\n"
               << "trace: handshakes " << counters.handshakes_completed << "/"
               << counters.handshakes_started << " (first "
               << fmt_ms(to_millis(counters.first_handshake_duration)) << ")"
@@ -342,11 +374,11 @@ int cmd_trial(const Args& args) {
               << " B, max in-flight " << counters.max_bytes_in_flight << " B\n";
   }
 
-  if (args.has("csv")) {
+  if (args.has("--csv")) {
     std::cout << "site,protocol,network,seed,fvc_ms,si_ms,vc85_ms,lvc_ms,plt_ms,"
                  "retransmissions,connections\n"
-              << site->name << ',' << protocol.name << ',' << profile.name << ','
-              << args.get_u64("seed", 7) << ',' << result.metrics.fvc_ms() << ','
+              << site.name << ',' << protocol.name << ',' << profile.name << ','
+              << args.u64("--seed", 7) << ',' << result.metrics.fvc_ms() << ','
               << result.metrics.si_ms() << ',' << result.metrics.vc85_ms() << ','
               << result.metrics.lvc_ms() << ',' << result.metrics.plt_ms() << ','
               << result.transport.retransmissions << ',' << result.connections_opened
@@ -359,7 +391,7 @@ int cmd_trial(const Args& args) {
                  fmt_ms(result.metrics.plt_ms()),
                  std::to_string(result.transport.retransmissions),
                  std::to_string(result.connections_opened)});
-  std::cout << site->name << " / " << protocol.name << " / " << profile.name << "\n";
+  std::cout << site.name << " / " << protocol.name << " / " << profile.name << "\n";
   table.print(std::cout);
   if (!result.metrics.finished) {
     std::cout << "(load did not finish within the event/time budget; metrics are partial)\n";
@@ -368,10 +400,10 @@ int cmd_trial(const Args& args) {
 }
 
 int cmd_video(const Args& args) {
-  core::VideoLibrary library(args.get_u64("seed", 7), runs_arg(args, 31));
-  const auto& profile = network_by_name(args.get("network", "DSL"));
-  const auto& video = library.get(args.get("site", "wikipedia.org"),
-                                  args.get("protocol", "QUIC"), profile.kind);
+  core::VideoLibrary library(args.u64("--seed", 7), runs_arg(args, 31));
+  const auto& profile = network_by_name(args.get("--network", "DSL"));
+  const auto& video = library.get(args.get("--site", "wikipedia.org"),
+                                  args.get("--protocol", "QUIC"), profile.kind);
   std::cout << "typical recording of " << video.site << " / " << video.protocol << " / "
             << profile.name << " (" << video.runs << " trials)\n";
   TextTable table({"", "FVC", "SI", "VC85", "LVC", "PLT"});
@@ -388,14 +420,14 @@ int cmd_video(const Args& args) {
 }
 
 study::StudyKind kind_arg(const Args& args) {
-  const std::string kind = args.get("kind", "rating");
+  const std::string kind = args.get("--kind", "rating");
   if (kind == "ab") return study::StudyKind::kAb;
   if (kind == "rating") return study::StudyKind::kRating;
   throw std::invalid_argument("--kind expects ab or rating, got '" + kind + "'");
 }
 
 study::Group group_arg(const Args& args) {
-  const std::string group = args.get("group", "uworker");
+  const std::string group = args.get("--group", "uworker");
   if (group == "lab") return study::Group::kLab;
   if (group == "uworker") return study::Group::kMicroworker;
   if (group == "internet") return study::Group::kInternet;
@@ -404,17 +436,17 @@ study::Group group_arg(const Args& args) {
 }
 
 int cmd_study(const Args& args) {
-  core::VideoLibrary library(args.get_u64("seed", 7), runs_arg(args, 31));
+  core::VideoLibrary library(args.u64("--seed", 7), runs_arg(args, 31));
   const auto kind = kind_arg(args);
   const auto group = group_arg(args);
-  const std::size_t site_budget = args.get_u64("sites", 36);
+  const std::size_t site_budget = args.u64("--sites", 36);
   const bool lab_only = site_budget <= web::lab_study_domains().size();
 
   if (kind == study::StudyKind::kAb) {
     study::AbStudyConfig config;
     config.group = group;
     config.lab_domains_only = lab_only;
-    config.seed = args.get_u64("seed", 7);
+    config.seed = args.u64("--seed", 7);
     const auto result = study::run_ab_study(library, config);
     std::cout << "A/B study, " << study::to_string(group) << ": "
               << result.funnel.initial << " -> " << result.funnel.final_count()
@@ -440,7 +472,7 @@ int cmd_study(const Args& args) {
   study::RatingStudyConfig config;
   config.group = group;
   config.lab_domains_only = lab_only;
-  config.seed = args.get_u64("seed", 7);
+  config.seed = args.u64("--seed", 7);
   const auto result = study::run_rating_study(library, config);
   std::cout << "Rating study, " << study::to_string(group) << ": "
             << result.funnel.initial << " -> " << result.funnel.final_count()
@@ -457,97 +489,32 @@ int cmd_study(const Args& args) {
   return 0;
 }
 
-/// Shared by the fairness and population-study subcommands: the grid-wide
-/// variable-rate/policing overlay (--link-trace [--link-trace-seed],
-/// --policer-rate-mbps [--policer-burst-kb]).
-net::LinkConditions link_conditions_from_args(const Args& args) {
-  net::LinkConditions conditions;
-  if (args.has("link-trace")) {
-    const std::string kind = args.get("link-trace", "lte");
-    if (kind == "lte") {
-      conditions.link_trace = net::RateSchedule::Kind::kLteTrace;
-    } else if (kind == "wifi") {
-      conditions.link_trace = net::RateSchedule::Kind::kWifiTrace;
-    } else {
-      throw std::invalid_argument("--link-trace expects lte or wifi, got '" + kind + "'");
-    }
-    conditions.link_trace_seed = args.get_u64("link-trace-seed", 1);
-  }
-  if (args.has("policer-rate-mbps")) {
-    conditions.policer_rate =
-        DataRate::megabits_per_second(args.get_double("policer-rate-mbps", 0.0));
-    conditions.policer_burst_bytes = args.get_u64("policer-burst-kb", 64) * 1024;
-  }
-  return conditions;
-}
-
-/// File-name fragment for an enabled overlay ("" when none): caches and
-/// checkpoints taken under different conditions land in different files
-/// (their headers/fingerprints would refuse to mix regardless).
-std::string link_conditions_file_tag(const net::LinkConditions& conditions) {
-  if (!conditions.any()) return "";
-  std::string tag;
-  if (conditions.link_trace != net::RateSchedule::Kind::kNone) {
-    tag += std::string("_") + net::to_string(conditions.link_trace) +
-           std::to_string(conditions.link_trace_seed);
-  }
-  if (!conditions.policer_rate.is_zero()) {
-    tag += "_pol" + std::to_string(conditions.policer_rate.bps()) + "b" +
-           std::to_string(conditions.policer_burst_bytes);
-  }
-  return tag;
-}
-
 // --- qperc study run/report (population-scale streaming studies) ------------
 
 population::StudySpec population_spec_from_args(const Args& args) {
   population::StudySpec spec;
   spec.kind = kind_arg(args);
   spec.group = group_arg(args);
-  spec.participants = args.get_u64("participants", 10000);
-  spec.seed = args.get_u64("seed", 7);
-  spec.sites = args.get_u64("sites", 36);
+  spec.participants = args.u64("--participants", 10000);
+  spec.seed = args.u64("--seed", 7);
+  spec.sites = args.u64("--sites", 36);
   spec.video_runs = runs_arg(args, 31);
-  spec.videos_work = args.get_u64("videos-work", 11);
-  spec.videos_free_time = args.get_u64("videos-free", 11);
-  spec.videos_plane = args.get_u64("videos-plane", 5);
-  spec.videos_ab = args.get_u64("videos-ab", 26);
+  spec.videos_work = args.u64("--videos-work", 11);
+  spec.videos_free_time = args.u64("--videos-free", 11);
+  spec.videos_plane = args.u64("--videos-plane", 5);
+  spec.videos_ab = args.u64("--videos-ab", 26);
   spec.conditions = link_conditions_from_args(args);
   spec.validate();
   return spec;
 }
 
-/// Checkpoint/export file name for one shard of a streaming study; the
-/// identity-bearing fields keep different studies in one --out directory
-/// from colliding, mirroring campaign's store_file_name.
-std::string population_file_name(const population::StudySpec& spec, unsigned shard_index,
-                                 unsigned shard_count) {
-  std::string name = "population_seed" + std::to_string(spec.seed) + "_" +
-                     std::string(population::kind_token(spec.kind)) + "_" +
-                     std::string(study::to_string(spec.group)) + "_n" +
-                     std::to_string(spec.participants) +
-                     link_conditions_file_tag(spec.conditions);
-  if (shard_count > 1) {
-    name += "_shard" + std::to_string(shard_index) + "of" + std::to_string(shard_count);
-  }
-  return name + ".qps";
-}
-
-/// Blocks a shard owns under the engine's modulo distribution.
-std::uint64_t population_owned_blocks(std::uint64_t participants, std::uint64_t block_size,
-                                      unsigned shard_index, unsigned shard_count) {
-  const std::uint64_t total = (participants + block_size - 1) / block_size;
-  if (total <= shard_index) return 0;
-  return (total - shard_index + shard_count - 1) / shard_count;
-}
-
-void write_population_export(const std::string& path, const population::StudySpec& spec,
-                             const population::Accumulator& acc) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write export file " + path);
-  population::write_report(out, spec, acc);
-  out.flush();
-  if (!out) throw std::runtime_error("failed writing export file " + path);
+/// Identity prefix of a streaming study's checkpoints: the identity-bearing
+/// fields keep different studies in one --out directory from colliding.
+std::string population_prefix(const population::StudySpec& spec) {
+  return "population_seed" + std::to_string(spec.seed) + "_" +
+         std::string(population::kind_token(spec.kind)) + "_" +
+         std::string(study::to_string(spec.group)) + "_n" +
+         std::to_string(spec.participants) + link_conditions_file_tag(spec.conditions);
 }
 
 /// Human-readable summary: funnel, per-cell means with CI99, and — the
@@ -620,18 +587,19 @@ int cmd_study_run(const Args& args) {
   const auto spec = population_spec_from_args(args);
 
   population::RunOptions options;
-  options.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
-  options.block_size = args.get_u64("block-size", 8192);
-  options.max_blocks = args.get_u64("max-blocks", 0);
-  options.checkpoint_every_blocks = args.get_u64("checkpoint-every", 64);
-  options.resume = args.has("resume");
-  apply_shard_flag(args, options.shard_index, options.shard_count);
-  const std::string out_dir = args.get("out", "out/study");
+  options.jobs = args.u32("--jobs", 0);
+  options.block_size = args.u64("--block-size", 8192);
+  options.max_blocks = args.u64("--max-blocks", 0);
+  options.checkpoint_every_blocks = args.u64("--checkpoint-every", 64);
+  options.resume = args.has("--resume");
+  args.shard(options.shard_index, options.shard_count);
+  const std::string out_dir = args.get("--out", "out/study");
   std::filesystem::create_directories(out_dir);
-  options.checkpoint_path =
-      out_dir + "/" + population_file_name(spec, options.shard_index, options.shard_count);
+  options.checkpoint_path = out_dir + "/" +
+                            shard_file_name(population_prefix(spec), options.shard_index,
+                                            options.shard_count, ".qps");
 
-  if (!args.has("quiet")) {
+  if (!args.has("--quiet")) {
     options.on_progress = [](const population::Progress& progress) {
       std::cerr << "\rstudy: " << progress.participants_done << "/"
                 << progress.participants_total << " participants ("
@@ -667,11 +635,9 @@ int cmd_study_run(const Args& args) {
     std::cerr << "study: shard incomplete — continue with --resume\n";
     return 0;
   }
-  if (args.has("export")) {
-    const std::string path = args.get("export", "study_report.txt");
-    write_population_export(path, spec, report.accumulator);
-    std::cerr << "study: report exported to " << path << "\n";
-  }
+  export_if_asked(args, "study: report exported to ", [&](std::ostream& out) {
+    population::write_report(out, spec, report.accumulator);
+  });
   if (options.shard_count == 1) {
     print_population_summary(spec, report.accumulator);
   } else {
@@ -683,22 +649,12 @@ int cmd_study_run(const Args& args) {
 
 int cmd_study_report(const Args& args) {
   const auto spec = population_spec_from_args(args);
-  const std::string out_dir = args.get("out", "out/study");
+  const std::string out_dir = args.get("--out", "out/study");
   const auto layout = population::make_accumulator(spec.kind);
 
   // Candidate shard files share the identity prefix (any shard geometry).
-  std::string prefix = population_file_name(spec, 0, 1);
-  prefix.resize(prefix.size() - 4);  // strip ".qps"
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qps")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
+  const std::string prefix = population_prefix(spec);
+  const std::vector<std::string> files = files_with_prefix(out_dir, prefix, ".qps");
   if (files.empty()) {
     std::cerr << "study: no checkpoints matching " << out_dir << "/" << prefix
               << "*.qps — run `qperc study run` first\n";
@@ -725,7 +681,7 @@ int cmd_study_report(const Args& args) {
       return 1;
     }
     shard_seen[shard->shard_index] = true;
-    const std::uint64_t owned = population_owned_blocks(
+    const std::uint64_t owned = population::owned_blocks(
         spec.participants, shard->block_size, shard->shard_index, shard->shard_count);
     if (shard->blocks_done < owned) {
       std::cerr << "study: shard " << shard->shard_index << "/" << shard_count
@@ -751,11 +707,9 @@ int cmd_study_report(const Args& args) {
     return 1;
   }
 
-  if (args.has("export")) {
-    const std::string path = args.get("export", "study_report.txt");
-    write_population_export(path, spec, merged);
-    std::cerr << "study: report exported to " << path << "\n";
-  }
+  export_if_asked(args, "study: report exported to ", [&](std::ostream& out) {
+    population::write_report(out, spec, merged);
+  });
   print_population_summary(spec, merged);
   return 0;
 }
@@ -766,79 +720,29 @@ int cmd_study_report(const Args& args) {
 /// is the full paper grid (all sites x 5 protocols x 4 networks).
 runner::CampaignSpec spec_from_args(const Args& args) {
   runner::CampaignSpec spec;
-  spec.seed = args.get_u64("seed", 7);
-  spec.runs = runs_arg(args, 31);
-
-  const std::size_t site_budget = args.get_u64("sites", 36);
+  for (const auto& protocol : core::paper_protocols()) spec.protocols.push_back(protocol.name);
+  for (const auto& profile : net::all_profiles()) spec.networks.push_back(profile.kind);
+  grid_from_args(args, spec);
+  const std::size_t site_budget = args.u64("--sites", 36);
   for (const auto& site : web::study_catalog(spec.seed)) {
     if (spec.sites.size() >= site_budget) break;
     spec.sites.push_back(site.name);
   }
-
-  if (args.has("protocols")) {
-    for (const auto& name : split_csv(args.get("protocols", ""))) {
-      spec.protocols.push_back(core::protocol_by_name(name).name);  // validates
-    }
-  } else {
-    for (const auto& protocol : core::paper_protocols()) {
-      spec.protocols.push_back(protocol.name);
-    }
-  }
-
-  if (args.has("networks")) {
-    for (const auto& name : split_csv(args.get("networks", ""))) {
-      spec.networks.push_back(network_by_name(name).kind);
-    }
-  } else {
-    for (const auto& profile : net::all_profiles()) spec.networks.push_back(profile.kind);
-  }
-
-  apply_shard_flag(args, spec.shard_index, spec.shard_count);
   spec.validate();
   return spec;
-}
-
-std::string store_file_name(const runner::CampaignSpec& spec) {
-  std::string name =
-      "campaign_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  if (spec.shard_count > 1) {
-    name += "_shard" + std::to_string(spec.shard_index) + "of" +
-            std::to_string(spec.shard_count);
-  }
-  return name + ".qcr";
-}
-
-/// All checkpoint files in `out_dir` for this (seed, runs) pair — the
-/// unsharded store plus any shard stores, so status/export see the merged
-/// progress of a multi-process fan-out.
-std::vector<std::string> store_files(const std::string& out_dir,
-                                     const runner::CampaignSpec& spec) {
-  const std::string prefix =
-      "campaign_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qcr")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
 }
 
 /// The stored results of the spec's grid (sites x protocols x networks),
 /// merged across every checkpoint file for its (seed, runs) pair.
 std::map<runner::ResultStore::Key, core::Video> merged_results(
-    const std::string& out_dir, const runner::CampaignSpec& spec) {
+    const std::vector<std::string>& files, const runner::CampaignSpec& spec) {
   const auto in_grid = [&spec](const core::Video& video) {
     return std::ranges::find(spec.sites, video.site) != spec.sites.end() &&
            std::ranges::find(spec.protocols, video.protocol) != spec.protocols.end() &&
            std::ranges::find(spec.networks, video.network) != spec.networks.end();
   };
   std::map<runner::ResultStore::Key, core::Video> merged;
-  for (const auto& file : store_files(out_dir, spec)) {
+  for (const auto& file : files) {
     runner::ResultStore store(file, spec.seed, spec.runs);
     if (!store.load()) {
       std::cerr << "campaign: skipping unreadable or mismatched checkpoint " << file
@@ -856,28 +760,29 @@ std::map<runner::ResultStore::Key, core::Video> merged_results(
   return merged;
 }
 
+std::vector<std::string> campaign_files(const std::string& out_dir,
+                                        const runner::CampaignSpec& spec) {
+  return files_with_prefix(out_dir, seed_runs_prefix("campaign", spec.seed, spec.runs),
+                           ".qcr");
+}
+
 int cmd_campaign_run(const Args& args) {
   const auto spec = spec_from_args(args);
-  const std::string out_dir = args.get("out", "out/campaign");
+  const std::string out_dir = args.get("--out", "out/campaign");
   std::filesystem::create_directories(out_dir);
 
-  runner::ResultStore store(out_dir + "/" + store_file_name(spec), spec.seed, spec.runs,
-                            args.get_u64("checkpoint-every", 25));
-  if (args.has("resume")) {
-    if (store.load()) {
-      std::cerr << "campaign: resuming — " << store.size()
-                << " conditions already checkpointed in " << store.path() << "\n";
-    } else {
-      std::cerr << "campaign: no usable checkpoint at " << store.path()
-                << ", starting fresh\n";
-    }
-  }
+  runner::ResultStore store(
+      out_dir + "/" +
+          shard_file_name(seed_runs_prefix("campaign", spec.seed, spec.runs),
+                          spec.shard_index, spec.shard_count, ".qcr"),
+      spec.seed, spec.runs, args.u64("--checkpoint-every", 25));
+  resume_if_asked(args, store, "campaign", "conditions");
 
   runner::CampaignOptions options;
-  options.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
-  options.max_attempts = static_cast<unsigned>(args.get_u64("retries", 1)) + 1;
-  options.max_tasks = args.get_u64("max-tasks", 0);
-  if (!args.has("quiet")) {
+  options.jobs = args.u32("--jobs", 0);
+  options.max_attempts = args.u32("--retries", 1) + 1;
+  options.max_tasks = args.u64("--max-tasks", 0);
+  if (!args.has("--quiet")) {
     options.on_progress = [](const runner::CampaignProgress& progress) {
       std::cerr << "\rcampaign: " << progress.completed << "/" << progress.pending
                 << " conditions (" << progress.skipped << " resumed), "
@@ -911,9 +816,9 @@ int cmd_campaign_run(const Args& args) {
 
 int cmd_campaign_status(const Args& args) {
   const auto spec = spec_from_args(args);
-  const std::string out_dir = args.get("out", "out/campaign");
-  const auto files = store_files(out_dir, spec);
-  const auto merged = merged_results(out_dir, spec);
+  const std::string out_dir = args.get("--out", "out/campaign");
+  const auto files = campaign_files(out_dir, spec);
+  const auto merged = merged_results(files, spec);
 
   std::cout << "campaign store: " << out_dir << " (" << files.size()
             << " checkpoint file(s), seed " << spec.seed << ", runs " << spec.runs
@@ -936,7 +841,8 @@ int cmd_campaign_status(const Args& args) {
 
 int cmd_campaign_export(const Args& args) {
   const auto spec = spec_from_args(args);
-  const auto merged = merged_results(args.get("out", "out/campaign"), spec);
+  const auto merged =
+      merged_results(campaign_files(args.get("--out", "out/campaign"), spec), spec);
 
   std::cout << "site,protocol,network,runs,fvc_ms,si_ms,vc85_ms,lvc_ms,plt_ms,"
                "mean_fvc_ms,mean_si_ms,mean_vc85_ms,mean_lvc_ms,mean_plt_ms,"
@@ -957,124 +863,43 @@ int cmd_campaign_export(const Args& args) {
 
 // --- qperc fairness ---------------------------------------------------------
 
-std::uint32_t parse_u32_field(const std::string& text, const char* flag) {
-  std::uint32_t value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    throw std::invalid_argument(std::string("--") + flag +
-                                " expects non-negative integers, got '" + text + "'");
-  }
-  return value;
-}
-
-double parse_double_field(const std::string& text, const char* flag) {
-  double value = 0.0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    throw std::invalid_argument(std::string("--") + flag + " expects numbers, got '" +
-                                text + "'");
-  }
-  return value;
-}
-
 /// Builds the fairness grid spec shared by run/report/export. The default is
 /// one cell: the first catalog site, QUIC over DSL, 16 cubic cross flows.
 runner::FairnessSpec fairness_spec_from_args(const Args& args) {
   runner::FairnessSpec spec;
-  spec.seed = args.get_u64("seed", 7);
-  spec.runs = runs_arg(args, 5);
+  spec.protocols.emplace_back("QUIC");
+  spec.networks.push_back(net::NetworkKind::kDsl);
+  grid_from_args(args, spec);
 
   const auto catalog = web::study_catalog(spec.seed);
-  if (args.has("sites")) {
-    for (const auto& name : split_csv(args.get("sites", ""))) {
-      bool known = false;
-      for (const auto& site : catalog) known = known || site.name == name;
-      if (!known) {
-        throw std::invalid_argument("unknown site '" + name + "' — see `qperc catalog`");
-      }
-      spec.sites.push_back(name);
-    }
-  } else {
-    spec.sites.push_back(catalog.front().name);
+  for (const auto& name : args.list("--sites", catalog.front().name)) {
+    spec.sites.push_back(site_by_name(catalog, name).name);
   }
-
-  if (args.has("protocols")) {
-    for (const auto& name : split_csv(args.get("protocols", ""))) {
-      spec.protocols.push_back(core::protocol_by_name(name).name);  // validates
-    }
-  } else {
-    spec.protocols.emplace_back("QUIC");
+  for (const auto& text : args.list("--flows", "16")) {
+    spec.flow_counts.push_back(parse_number<std::uint32_t>(text, "--flows"));
   }
-
-  if (args.has("networks")) {
-    for (const auto& name : split_csv(args.get("networks", ""))) {
-      spec.networks.push_back(network_by_name(name).kind);
-    }
-  } else {
-    spec.networks.push_back(net::NetworkKind::kDsl);
-  }
-
-  for (const auto& text : split_csv(args.get("flows", "16"))) {
-    spec.flow_counts.push_back(parse_u32_field(text, "flows"));
-  }
-  for (const auto& text : split_csv(args.get("mix", "cubic"))) {
+  for (const auto& text : args.list("--mix", "cubic")) {
     spec.mixes.push_back(net::parse_cross_mix(text));
   }
-  for (const auto& text : split_csv(args.get("stagger-ms", "0"))) {
-    spec.staggers.push_back(from_seconds(parse_double_field(text, "stagger-ms") / 1e3));
+  for (const auto& text : args.list("--stagger-ms", "0")) {
+    spec.staggers.push_back(from_ms(parse_number<double>(text, "--stagger-ms")));
   }
-  spec.burst_bytes = args.get_u64("burst-kb", 0) * 1024;
-  spec.off_time = from_seconds(args.get_double("off-ms", 0.0) / 1e3);
-  const net::LinkConditions conditions = link_conditions_from_args(args);
-  spec.link_trace = conditions.link_trace;
-  spec.link_trace_seed = conditions.link_trace_seed;
-  spec.policer_rate = conditions.policer_rate;
-  spec.policer_burst_bytes = conditions.policer_burst_bytes;
-  apply_shard_flag(args, spec.shard_index, spec.shard_count);
+  spec.burst_bytes = args.u64("--burst-kb", 0) * 1024;
+  spec.off_time = from_ms(args.real("--off-ms", 0.0));
+  spec.conditions = link_conditions_from_args(args);
   spec.validate();
   return spec;
 }
 
-std::string fairness_file_name(const runner::FairnessSpec& spec) {
-  std::string name =
-      "fairness_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  if (spec.shard_count > 1) {
-    name += "_shard" + std::to_string(spec.shard_index) + "of" +
-            std::to_string(spec.shard_count);
-  }
-  return name + ".qfr";
-}
-
-/// All fairness checkpoints in `out_dir` for this (seed, runs) — the
-/// unsharded store plus shard stores; incompatible axes are filtered out by
-/// the fingerprint check inside absorb().
-std::vector<std::string> fairness_files(const std::string& out_dir,
-                                        const runner::FairnessSpec& spec) {
-  const std::string prefix =
-      "fairness_seed" + std::to_string(spec.seed) + "_runs" + std::to_string(spec.runs);
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0 && name.ends_with(".qfr")) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-/// Writes the merged cells as canonical record lines (key-sorted, fixed field
+/// --export: the cells as canonical record lines (key-sorted, fixed field
 /// order, max_digits10 doubles) — byte-identical for identical grids
 /// regardless of --jobs, shard split, or resume history.
-void write_fairness_export(const std::string& path, const runner::FairnessStore& store) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write export file " + path);
-  store.for_each(
-      [&out](const runner::FairnessCell& cell) { runner::write_fairness_record(out, cell); });
-  out.flush();
-  if (!out) throw std::runtime_error("failed writing export file " + path);
+void export_fairness(const Args& args, const runner::FairnessStore& store) {
+  export_if_asked(args, "fairness: exported to ", [&store](std::ostream& out) {
+    store.for_each([&out](const runner::FairnessCell& cell) {
+      runner::write_fairness_record(out, cell);
+    });
+  });
 }
 
 void print_fairness_summary(const runner::FairnessStore& store) {
@@ -1108,16 +933,17 @@ void print_fairness_summary(const runner::FairnessStore& store) {
 
 int cmd_fairness(const Args& args) {
   const auto spec = fairness_spec_from_args(args);
-  const std::string out_dir = args.get("out", "out/fairness");
+  const std::string out_dir = args.get("--out", "out/fairness");
   std::filesystem::create_directories(out_dir);
 
   // --report: merge every compatible checkpoint in --out and print/export
   // without running anything (the multi-shard rendezvous).
-  if (args.has("report")) {
+  if (args.has("--report")) {
     runner::FairnessStore merged(out_dir + "/.fairness_merge.tmp", spec.seed, spec.runs,
                                  spec.fingerprint());
     std::size_t absorbed = 0;
-    for (const auto& file : fairness_files(out_dir, spec)) {
+    const std::string prefix = seed_runs_prefix("fairness", spec.seed, spec.runs);
+    for (const auto& file : files_with_prefix(out_dir, prefix, ".qfr")) {
       if (merged.absorb(file)) {
         ++absorbed;
       } else {
@@ -1132,33 +958,23 @@ int cmd_fairness(const Args& args) {
     }
     std::cerr << "fairness: merged " << merged.size() << "/" << spec.grid_size()
               << " cells from " << absorbed << " checkpoint(s)\n";
-    if (args.has("export")) {
-      const std::string path = args.get("export", "fairness.txt");
-      write_fairness_export(path, merged);
-      std::cerr << "fairness: exported to " << path << "\n";
-    }
+    export_fairness(args, merged);
     print_fairness_summary(merged);
     return merged.size() == spec.grid_size() ? 0 : 1;
   }
 
-  runner::FairnessStore store(out_dir + "/" + fairness_file_name(spec), spec.seed,
-                              spec.runs, spec.fingerprint(),
-                              args.get_u64("checkpoint-every", 8));
-  if (args.has("resume")) {
-    if (store.load()) {
-      std::cerr << "fairness: resuming — " << store.size()
-                << " cells already checkpointed in " << store.path() << "\n";
-    } else {
-      std::cerr << "fairness: no usable checkpoint at " << store.path()
-                << ", starting fresh\n";
-    }
-  }
+  runner::FairnessStore store(
+      out_dir + "/" +
+          shard_file_name(seed_runs_prefix("fairness", spec.seed, spec.runs),
+                          spec.shard_index, spec.shard_count, ".qfr"),
+      spec.seed, spec.runs, spec.fingerprint(), args.u64("--checkpoint-every", 8));
+  resume_if_asked(args, store, "fairness", "cells");
 
   runner::FairnessOptions options;
-  options.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
-  options.max_attempts = static_cast<unsigned>(args.get_u64("retries", 1)) + 1;
-  options.max_tasks = args.get_u64("max-cells", 0);
-  if (!args.has("quiet")) {
+  options.jobs = args.u32("--jobs", 0);
+  options.max_attempts = args.u32("--retries", 1) + 1;
+  options.max_tasks = args.u64("--max-cells", 0);
+  if (!args.has("--quiet")) {
     options.on_progress = [](const runner::FairnessProgress& progress) {
       std::cerr << "\rfairness: " << progress.completed << "/" << progress.pending
                 << " cells (" << progress.skipped << " resumed), ETA "
@@ -1188,22 +1004,18 @@ int cmd_fairness(const Args& args) {
               << " done — merge with `qperc fairness --report`\n";
     return 0;
   }
-  if (args.has("export")) {
-    const std::string path = args.get("export", "fairness.txt");
-    write_fairness_export(path, store);
-    std::cerr << "fairness: exported to " << path << "\n";
-  }
+  export_fairness(args, store);
   if (store.size() == spec.grid_size()) print_fairness_summary(store);
   return 0;
 }
 
 int cmd_torture(const Args& args) {
   runner::TortureOptions options;
-  options.seed = args.get_u64("seed", 1);
-  options.grid = runner::parse_torture_grid(args.get("grid", "small"));
-  options.max_events_per_trial = args.get_u64("max-events", options.max_events_per_trial);
+  options.seed = args.u64("--seed", 1);
+  options.grid = runner::parse_torture_grid(args.get("--grid", "small"));
+  options.max_events_per_trial = args.u64("--max-events", options.max_events_per_trial);
   const auto report =
-      runner::run_torture(options, args.has("quiet") ? nullptr : &std::cerr);
+      runner::run_torture(options, args.has("--quiet") ? nullptr : &std::cerr);
   std::cout << "torture: " << report.trials << " trials, " << report.check_violations
             << " CHECK violations, " << report.hung_trials << " hung ("
             << report.deadlocks << " deadlocked), " << report.conservation_failures
@@ -1220,31 +1032,25 @@ int cmd_torture(const Args& args) {
 /// numbers BENCH_micro.json ratchets, but on any condition and without
 /// google-benchmark (see docs/PERFORMANCE.md "Measuring throughput").
 int cmd_bench_throughput(const Args& args) {
-  const auto catalog = resolve_catalog(args);
-  const std::string site_name = args.get("site", "apache.org");
-  const web::Website* site = nullptr;
-  for (const auto& candidate : catalog) {
-    if (candidate.name == site_name) site = &candidate;
-  }
-  if (site == nullptr) {
-    std::cerr << "unknown site '" << site_name << "' — see `qperc catalog`\n";
-    return 2;
-  }
-  const auto& protocol = core::protocol_by_name(args.get("protocol", "QUIC"));
-  const net::NetworkProfile& profile = network_by_name(args.get("network", "DSL"));
-  const std::uint64_t trials = args.get_u64("trials", 2000);
-  const std::uint64_t warmup = args.get_u64("warmup", 3);
+  // The page stays the default catalog's (or --catalog's) whatever --seed
+  // says: --seed sets only the first trial seed.
+  const auto catalog = resolve_catalog(args, 7);
+  const web::Website& site = site_by_name(catalog, args.get("--site", "apache.org"));
+  const auto& protocol = core::protocol_by_name(args.get("--protocol", "QUIC"));
+  const net::NetworkProfile& profile = network_by_name(args.get("--network", "DSL"));
+  const std::uint64_t trials = args.u64("--trials", 2000);
+  const std::uint64_t warmup = args.u64("--warmup", 3);
   if (trials == 0) {
     std::cerr << "--trials must be at least 1\n";
     return 2;
   }
-  std::uint64_t seed = args.get_u64("seed", 1);
+  std::uint64_t seed = args.u64("--seed", 1);
 
   core::TrialContext context;
   // Warm-up trials grow the arena blocks and container capacities to their
   // high-water marks so the timed region measures the steady state.
   for (std::uint64_t i = 0; i < warmup; ++i) {
-    static_cast<void>(context.run(core::TrialSpec(*site, protocol, profile, seed++)));
+    static_cast<void>(context.run(core::TrialSpec(site, protocol, profile, seed++)));
   }
 
   const std::uint64_t allocs_before = heap_allocations();
@@ -1252,7 +1058,7 @@ int cmd_bench_throughput(const Args& args) {
   std::uint64_t events = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < trials; ++i) {
-    const auto result = context.run(core::TrialSpec(*site, protocol, profile, seed++));
+    const auto result = context.run(core::TrialSpec(site, protocol, profile, seed++));
     plt_sum_ms += result.metrics.plt_ms();
     events += context.simulator().events_processed();
   }
@@ -1261,7 +1067,7 @@ int cmd_bench_throughput(const Args& args) {
   const double dt = static_cast<double>(trials);
   const std::uint64_t allocs = heap_allocations() - allocs_before;
 
-  std::cout << "bench throughput: " << site->name << " / " << protocol.name << " / "
+  std::cout << "bench throughput: " << site.name << " / " << protocol.name << " / "
             << profile.name << " (" << trials << " trials, " << warmup << " warm-up)\n";
   TextTable table({"trials/sec", "us/trial", "allocs/trial", "events/trial", "mean PLT"});
   table.add_row({fmt_fixed(dt / (total_ns * 1e-9), 1), fmt_fixed(total_ns / dt / 1e3, 1),
@@ -1273,39 +1079,108 @@ int cmd_bench_throughput(const Args& args) {
   return 0;
 }
 
-int cmd_bench(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string sub = argv[2];
-  if (sub == "throughput") {
-    return cmd_bench_throughput(
-        Args(argc, argv, 3, "bench throughput",
-             {"site", "protocol", "network", "trials", "warmup", "seed", "catalog"}));
-  }
-  std::cerr << "unknown bench subcommand '" << sub << "' (throughput)\n";
-  return usage();
+// --- The command table --------------------------------------------------------
+
+struct Command {
+  std::string_view path;  // "campaign run"
+  int (*run)(const Args&);
+  Flags flags;
+};
+
+/// Every qperc command with its flags. Each flag is declared once, here;
+/// commands share flags through the groups. `--sites` names two flags: a
+/// site count for campaign and study, a list of sites for fairness.
+const std::vector<Command>& commands() {
+  using enum FlagKind;
+  static const Flags seed = {{"--seed", "K", kU64}};
+  static const Flags runs = {{"--runs", "R", kU32}};
+  static const Flags site_count = {{"--sites", "N", kU64}};
+  static const Flags condition = {
+      {"--site", "S", kValue}, {"--protocol", "P", kValue}, {"--network", "N", kValue}};
+  static const Flags catalog = {{"--catalog", "FILE", kValue}};
+  static const Flags export_file = {{"--export", "FILE", kValue}};
+  static const Flags max_events = {{"--max-events", "N", kU64}};
+  static const Flags quiet = {{"--quiet", "", kBool}};
+  static const Flags out = {{"--out", "DIR", kValue}};
+  static const Flags retries = {{"--retries", "N", kU32}};
+  // Grid: the axes campaign and fairness share.
+  static const Flags grid =
+      seed + runs + Flags{{"--protocols", "A,B", kList}, {"--networks", "A,B", kList}};
+  // Store: how a resumable, shardable grid or study executes.
+  static const Flags store = quiet + Flags{{"--jobs", "J", kU32}, {"--shard", "I/N", kShard},
+                                           {"--resume", "", kBool},
+                                           {"--checkpoint-every", "N", kU64}};
+  static const Flags link_overlay = {
+      {"--link-trace", "lte|wifi", kValue}, {"--link-trace-seed", "K", kU64},
+      {"--policer-rate-mbps", "M", kDouble}, {"--policer-burst-kb", "N", kU64}};
+  static const Flags study_kind = {{"--kind", "ab|rating", kValue},
+                                   {"--group", "lab|uworker|internet", kValue}};
+  // Study: the identity of a streaming study, shared by run and report.
+  static const Flags study =
+      study_kind + seed + site_count + runs + link_overlay + out + export_file +
+      Flags{{"--participants", "N", kU64}, {"--videos-work", "N", kU64},
+            {"--videos-free", "N", kU64}, {"--videos-plane", "N", kU64},
+            {"--videos-ab", "N", kU64}};
+  static const Flags profile = {
+      {"--loss", "P", kDouble}, {"--uplink-mbps", "M", kDouble},
+      {"--downlink-mbps", "M", kDouble}, {"--rtt-ms", "T", kDouble},
+      {"--queue-ms", "T", kDouble}, {"--reorder-rate", "P", kDouble},
+      {"--reorder-min-ms", "T", kDouble}, {"--reorder-max-ms", "T", kDouble},
+      {"--dup-rate", "P", kDouble}, {"--ge-enter", "P", kDouble},
+      {"--ge-exit", "P", kDouble}, {"--ge-loss-good", "P", kDouble},
+      {"--ge-loss-bad", "P", kDouble}, {"--outage-start-ms", "T", kDouble},
+      {"--outage-ms", "T", kDouble}, {"--outage-interval-ms", "T", kDouble},
+      {"--rate-schedule", "ms:mbps,...", kList}};
+  static const std::vector<Command> table = {
+      {"catalog", cmd_catalog, export_file + catalog + seed},
+      {"protocols", cmd_protocols, {}},
+      {"networks", cmd_networks, {}},
+      {"trial", cmd_trial,
+       condition + seed + catalog + max_events + profile + link_overlay +
+           Flags{{"--csv", "", kBool}, {"--trace", "FILE", kValue}}},
+      {"torture", cmd_torture,
+       seed + max_events + quiet + Flags{{"--grid", "small|full", kValue}}},
+      {"video", cmd_video, condition + runs + seed},
+      {"study", cmd_study, study_kind + runs + site_count + seed},
+      {"study run", cmd_study_run,
+       study + store + Flags{{"--block-size", "B", kU64}, {"--max-blocks", "N", kU64}}},
+      {"study report", cmd_study_report, study},
+      {"campaign run", cmd_campaign_run,
+       grid + site_count + out + store + retries + Flags{{"--max-tasks", "N", kU64}}},
+      {"campaign status", cmd_campaign_status, grid + site_count + out},
+      {"campaign export", cmd_campaign_export, grid + site_count + out},
+      {"fairness", cmd_fairness,
+       grid + link_overlay + out + export_file + store + retries +
+           Flags{{"--sites", "A,B", kList}, {"--flows", "N,M", kList},
+                 {"--mix", "cubic|reno|bbr|quic|mixed,..", kList},
+                 {"--stagger-ms", "T,U", kList},
+                 {"--burst-kb", "N", kU64}, {"--off-ms", "T", kDouble},
+                 {"--max-cells", "N", kU64}, {"--report", "", kBool}}},
+      {"bench throughput", cmd_bench_throughput,
+       condition + seed + catalog + Flags{{"--trials", "N", kU64}, {"--warmup", "N", kU64}}},
+  };
+  return table;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string sub = argv[2];
-  if (sub == "run") {
-    return cmd_campaign_run(Args(argc, argv, 3, "campaign run",
-                                 {"jobs", "shard", "resume", "out", "sites", "runs",
-                                  "seed", "protocols", "networks", "checkpoint-every",
-                                  "max-tasks", "retries", "quiet"}));
+/// The usage text, generated from the command table.
+int usage() {
+  std::cerr << "usage: qperc <command> [flags]\n";
+  for (const Command& command : commands()) {
+    std::string line = "  " + std::string(command.path);
+    const std::size_t indent = line.size();
+    for (const Flag& flag : command.flags) {
+      std::string item = " [" + std::string(flag.name);
+      if (!flag.metavar.empty()) item += " " + std::string(flag.metavar);
+      item += "]";
+      if (line.size() + item.size() > 80) {
+        std::cerr << line << "\n";
+        line.assign(indent, ' ');
+      }
+      line += item;
+    }
+    std::cerr << line << "\n";
   }
-  if (sub == "status") {
-    return cmd_campaign_status(Args(argc, argv, 3, "campaign status",
-                                    {"out", "sites", "runs", "seed", "protocols",
-                                     "networks"}));
-  }
-  if (sub == "export") {
-    return cmd_campaign_export(Args(argc, argv, 3, "campaign export",
-                                    {"out", "sites", "runs", "seed", "protocols",
-                                     "networks"}));
-  }
-  std::cerr << "unknown campaign subcommand '" << sub << "' (run|status|export)\n";
-  return usage();
+  return 2;
 }
 
 }  // namespace
@@ -1314,73 +1189,23 @@ int cmd_campaign(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace qperc::cli;
   using qperc::Args;
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  // A two-word path (`study run`) wins over its one-word prefix (`study`).
+  const Command* command = nullptr;
+  int first = 0;
+  for (const Command& candidate : commands()) {
+    if (argc > 2 && candidate.path == std::string(argv[1]) + " " + argv[2]) {
+      command = &candidate;
+      first = 3;
+    } else if (argc > 1 && candidate.path == argv[1] && first < 3) {
+      command = &candidate;
+      first = 2;
+    }
+  }
+  if (command == nullptr) return usage();
   try {
-    if (command == "catalog") {
-      return cmd_catalog(Args(argc, argv, 2, "catalog", {"export", "catalog", "seed"}));
-    }
-    if (command == "protocols") {
-      static_cast<void>(Args(argc, argv, 2, "protocols", {}));
-      return cmd_protocols();
-    }
-    if (command == "networks") {
-      static_cast<void>(Args(argc, argv, 2, "networks", {}));
-      return cmd_networks();
-    }
-    if (command == "trial") {
-      return cmd_trial(Args(argc, argv, 2, "trial",
-                            {"site", "protocol", "network", "seed", "csv", "catalog",
-                             "trace", "max-events", "loss", "uplink-mbps",
-                             "downlink-mbps", "rtt-ms", "queue-ms", "reorder-rate",
-                             "reorder-min-ms", "reorder-max-ms", "dup-rate", "ge-enter",
-                             "ge-exit", "ge-loss-good", "ge-loss-bad", "outage-start-ms",
-                             "outage-ms", "outage-interval-ms", "rate-schedule",
-                             "link-trace", "link-trace-seed", "policer-rate-mbps",
-                             "policer-burst-kb"}));
-    }
-    if (command == "torture") {
-      return cmd_torture(
-          Args(argc, argv, 2, "torture", {"seed", "grid", "max-events", "quiet"}));
-    }
-    if (command == "video") {
-      return cmd_video(
-          Args(argc, argv, 2, "video", {"site", "protocol", "network", "runs", "seed"}));
-    }
-    if (command == "study") {
-      if (argc >= 3 && std::string_view(argv[2]) == "run") {
-        return cmd_study_run(Args(
-            argc, argv, 3, "study run",
-            {"kind", "group", "participants", "seed", "sites", "runs", "videos-work",
-             "videos-free", "videos-plane", "videos-ab", "jobs", "shard", "block-size",
-             "max-blocks", "checkpoint-every", "resume", "out", "export", "quiet",
-             "link-trace", "link-trace-seed", "policer-rate-mbps", "policer-burst-kb"}));
-      }
-      if (argc >= 3 && std::string_view(argv[2]) == "report") {
-        return cmd_study_report(
-            Args(argc, argv, 3, "study report",
-                 {"kind", "group", "participants", "seed", "sites", "runs", "videos-work",
-                  "videos-free", "videos-plane", "videos-ab", "out", "export",
-                  "link-trace", "link-trace-seed", "policer-rate-mbps",
-                  "policer-burst-kb"}));
-      }
-      return cmd_study(
-          Args(argc, argv, 2, "study", {"kind", "group", "runs", "sites", "seed"}));
-    }
-    if (command == "campaign") return cmd_campaign(argc, argv);
-    if (command == "fairness") {
-      return cmd_fairness(
-          Args(argc, argv, 2, "fairness",
-               {"sites", "protocols", "networks", "flows", "mix", "stagger-ms", "runs",
-                "seed", "burst-kb", "off-ms", "link-trace", "link-trace-seed",
-                "policer-rate-mbps", "policer-burst-kb", "jobs", "shard", "resume",
-                "out", "export", "max-cells", "retries", "checkpoint-every", "report",
-                "quiet"}));
-    }
-    if (command == "bench") return cmd_bench(argc, argv);
+    return command->run(Args(command->path, command->flags, argc, argv, first));
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;  // all bad input exits 2, same as usage()
   }
-  return usage();
 }
