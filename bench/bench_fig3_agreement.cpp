@@ -9,12 +9,11 @@
 
 #include "bench/common.hpp"
 #include "stats/stats.hpp"
-#include "study/rating_study.hpp"
 
 namespace qperc {
 namespace {
 
-std::string condition_label(const study::RatingSiteKey& key) {
+std::string condition_label(const bench::RatingSiteKey& key) {
   return std::get<0>(key) + "/" + std::get<1>(key) + "/" +
          std::string(net::to_string(std::get<2>(key))) + "/" +
          std::string(study::to_string(std::get<3>(key)));
@@ -35,17 +34,21 @@ int main() {
                     bench::all_network_kinds());
   auto& library = cached.get();
 
+  struct GroupVotes {
+    std::map<bench::RatingSiteKey, std::vector<double>> votes_by_site;
+    double avg_seconds_per_video;
+  };
   const auto run_group = [&](study::Group group) {
-    study::RatingStudyConfig config;
-    config.group = group;
-    config.lab_domains_only = true;
+    auto spec = bench::paper_study(study::StudyKind::kRating, group);
+    spec.sites = web::lab_study_domains().size();
     if (group == study::Group::kInternet) {
-      config.videos_work = 6;
-      config.videos_free_time = 6;
-      config.videos_plane = 3;
+      spec.videos_work = 6;
+      spec.videos_free_time = 6;
+      spec.videos_plane = 3;
     }
-    config.seed = bench::master_seed();
-    return study::run_rating_study(library, config);
+    const auto votes = bench::run_study(library, spec).votes;
+    return GroupVotes{bench::group_votes<std::vector<double>>(votes, bench::rating_site_key),
+                      bench::avg_seconds_per_video(votes)};
   };
 
   const auto lab = run_group(study::Group::kLab);
@@ -115,7 +118,7 @@ int main() {
   // subsampled to a common size so the comparison has equal power (the
   // paper treats lab and uWorker votes as normal and reports the Internet
   // group's median because its distribution cannot be estimated).
-  const auto pooled_residuals = [&](const study::RatingStudyResult& result) {
+  const auto pooled_residuals = [&](const GroupVotes& result) {
     std::vector<double> centered;
     for (const auto& [key, votes] : result.votes_by_site) {
       if (votes.size() < 5) continue;
@@ -133,7 +136,7 @@ int main() {
   };
   TextTable group_table({"Group", "votes", "JB p (n=800 residuals)", "looks normal",
                          "avg s/video (paper: 21.4/17.7/19.2)"});
-  const auto add_group = [&](const char* name, const study::RatingStudyResult& result) {
+  const auto add_group = [&](const char* name, const GroupVotes& result) {
     std::size_t n = 0;
     for (const auto& [key, votes] : result.votes_by_site) n += votes.size();
     const auto residuals = pooled_residuals(result);

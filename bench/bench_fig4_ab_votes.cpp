@@ -3,7 +3,6 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "study/ab_study.hpp"
 
 int main() {
   using namespace qperc;
@@ -16,15 +15,16 @@ int main() {
   cached.precompute_all();
   auto& library = cached.get();
 
-  study::AbStudyConfig config;
-  config.group = study::Group::kMicroworker;
-  config.videos_per_participant = 26;
-  config.seed = bench::master_seed();
-  const auto result = study::run_ab_study(library, config);
+  const auto report = bench::run_study(
+      library, bench::paper_study(study::StudyKind::kAb, study::Group::kMicroworker));
+  const auto cells = bench::group_votes<study::AbAggregate>(
+      report.votes, [](const population::VoteRecord& vote) {
+        return std::pair{vote.pair_index, vote.video->network};
+      });
 
-  std::cout << "uWorker cohort: " << result.funnel.initial << " -> "
-            << result.funnel.final_count() << " after filtering; "
-            << fmt_fixed(result.avg_seconds_per_video, 1)
+  std::cout << "uWorker cohort: " << report.accumulator.participants << " -> "
+            << report.accumulator.survivors << " after filtering; "
+            << fmt_fixed(bench::avg_seconds_per_video(report.votes), 1)
             << " s per video (paper: 14.5 s).\n\n";
 
   const auto& pairs = study::ab_pairs();
@@ -34,8 +34,8 @@ int main() {
                      "prefer " + pairs[p].second, "votes", "avg replay count",
                      "avg confidence"});
     for (const auto network : bench::all_network_kinds()) {
-      const auto it = result.cells.find({p, network});
-      if (it == result.cells.end()) continue;
+      const auto it = cells.find({p, network});
+      if (it == cells.end()) continue;
       const auto& cell = it->second;
       table.add_row({std::string(net::to_string(network)),
                      fmt_percent(cell.share_first()),
@@ -54,7 +54,7 @@ int main() {
   // Takeaway checks printed as booleans so regressions are visible at a
   // glance in CI logs.
   const auto cell = [&](std::size_t p, net::NetworkKind network) {
-    return result.cells.at({p, network});
+    return cells.at({p, network});
   };
   // "In the DSL setting, for all but the QUIC vs. TCP comparison, most
   // participants do not see a difference" — no-difference is the modal

@@ -7,7 +7,6 @@
 
 #include "bench/common.hpp"
 #include "stats/stats.hpp"
-#include "study/rating_study.hpp"
 
 namespace qperc {
 namespace {
@@ -34,14 +33,18 @@ int main() {
   cached.precompute_all();
   auto& library = cached.get();
 
-  study::RatingStudyConfig config;
-  config.group = study::Group::kMicroworker;
-  config.seed = bench::master_seed();
-  const auto result = study::run_rating_study(library, config);
+  const auto report = bench::run_study(
+      library, bench::paper_study(study::StudyKind::kRating, study::Group::kMicroworker));
+  const auto votes_by_cell = bench::group_votes<std::vector<double>>(
+      report.votes, [](const population::VoteRecord& vote) {
+        return std::tuple{vote.video->protocol, vote.video->network, vote.context};
+      });
+  const auto votes_by_site =
+      bench::group_votes<std::vector<double>>(report.votes, bench::rating_site_key);
 
-  std::cout << "uWorker cohort: " << result.funnel.initial << " -> "
-            << result.funnel.final_count() << " after filtering; "
-            << fmt_fixed(result.avg_seconds_per_video, 1)
+  std::cout << "uWorker cohort: " << report.accumulator.participants << " -> "
+            << report.accumulator.survivors << " after filtering; "
+            << fmt_fixed(bench::avg_seconds_per_video(report.votes), 1)
             << " s per video (paper: 17.7 s).\n\n";
 
   const std::vector<std::pair<Context, std::vector<net::NetworkKind>>> blocks = {
@@ -55,8 +58,8 @@ int main() {
     TextTable table({"Network", "Protocol", "mean vote ± CI99", "scale", "n"});
     for (const auto network : networks) {
       for (const auto& protocol : bench::all_protocol_names()) {
-        const auto it = result.votes_by_cell.find({protocol, network, context});
-        if (it == result.votes_by_cell.end()) continue;
+        const auto it = votes_by_cell.find({protocol, network, context});
+        if (it == votes_by_cell.end()) continue;
         const auto ci = stats::mean_confidence_interval(it->second, 0.99);
         table.add_row({std::string(net::to_string(network)), protocol,
                        fmt_fixed(ci.center, 1) + " ± " + fmt_fixed(ci.half_width, 1),
@@ -78,8 +81,8 @@ int main() {
       std::string best_protocol;
       double best_mean = -1.0;
       for (const auto& protocol : bench::all_protocol_names()) {
-        const auto it = result.votes_by_cell.find({protocol, network, context});
-        if (it == result.votes_by_cell.end()) continue;
+        const auto it = votes_by_cell.find({protocol, network, context});
+        if (it == votes_by_cell.end()) continue;
         groups.push_back(it->second);
         const double m = stats::mean(it->second);
         if (m > best_mean) {
@@ -106,7 +109,7 @@ int main() {
     // Collect per-site votes per protocol, merging the contexts the paper
     // merges (free time for DSL/LTE; plane only has one context).
     std::map<std::string, std::map<std::string, std::vector<double>>> per_site;
-    for (const auto& [key, votes] : result.votes_by_site) {
+    for (const auto& [key, votes] : votes_by_site) {
       const auto& [site, protocol, net_kind, context] = key;
       if (net_kind != network) continue;
       const bool fast = network == net::NetworkKind::kDsl || network == net::NetworkKind::kLte;

@@ -8,7 +8,6 @@
 #include "bench/common.hpp"
 #include "browser/metrics.hpp"
 #include "stats/stats.hpp"
-#include "study/rating_study.hpp"
 
 int main() {
   using namespace qperc;
@@ -21,15 +20,15 @@ int main() {
   cached.precompute_all();
   auto& library = cached.get();
 
-  study::RatingStudyConfig config;
-  config.group = study::Group::kMicroworker;
-  config.seed = bench::master_seed();
-  const auto result = study::run_rating_study(library, config);
+  const auto report = bench::run_study(
+      library, bench::paper_study(study::StudyKind::kRating, study::Group::kMicroworker));
+  const auto votes_by_site =
+      bench::group_votes<std::vector<double>>(report.votes, bench::rating_site_key);
 
   // Mean vote per (site, protocol, network): free-time context for DSL/LTE.
   std::map<std::tuple<std::string, std::string, net::NetworkKind>, std::vector<double>>
       votes;
-  for (const auto& [key, site_votes] : result.votes_by_site) {
+  for (const auto& [key, site_votes] : votes_by_site) {
     const auto& [site, protocol, network, context] = key;
     const bool fast =
         network == net::NetworkKind::kDsl || network == net::NetworkKind::kLte;

@@ -13,11 +13,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/video.hpp"
 #include "net/profile.hpp"
+#include "population/population_study.hpp"
 #include "runner/campaign.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/result_store.hpp"
@@ -132,5 +136,57 @@ class CachedLibrary {
   runner::ResultStore store_;
   bool loaded_ = false;
 };
+
+/// One of the paper's studies at its Table-3 cohort size over the bench's
+/// sites (5 or fewer means the lab's five domains). Callers set the video
+/// counts their cohort was shown.
+inline population::StudySpec paper_study(study::StudyKind kind, study::Group group) {
+  population::StudySpec spec;
+  spec.kind = kind;
+  spec.group = group;
+  spec.participants = study::paper_initial_cohort(group, kind);
+  spec.seed = master_seed();
+  spec.sites = site_budget();
+  spec.video_runs = runs_per_condition();
+  return spec;
+}
+
+/// Runs a study on the population engine, keeping every vote.
+inline population::Report run_study(core::VideoLibrary& library,
+                                    const population::StudySpec& spec) {
+  population::RunOptions options;
+  options.jobs = campaign_jobs();
+  options.keep_votes = true;
+  return population::run_streaming_study(library, spec, options);
+}
+
+inline double avg_seconds_per_video(const std::vector<population::VoteRecord>& votes) {
+  double sum = 0.0;
+  for (const auto& vote : votes) sum += vote.seconds;
+  return votes.empty() ? 0.0 : sum / static_cast<double>(votes.size());
+}
+
+inline void fold_vote(std::vector<double>& ratings, const population::VoteRecord& vote) {
+  ratings.push_back(vote.rating);
+}
+inline void fold_vote(study::AbAggregate& cell, const population::VoteRecord& vote) {
+  cell.add(vote.choice, vote.replays, vote.confidence);
+}
+
+/// A study's votes grouped by `key(vote)`, each group folded in
+/// participant-id order: rating votes into a std::vector<double>, A/B votes
+/// into a study::AbAggregate.
+template <typename Value, typename KeyFn>
+auto group_votes(const std::vector<population::VoteRecord>& votes, const KeyFn& key) {
+  std::map<std::invoke_result_t<const KeyFn&, const population::VoteRecord&>, Value> groups;
+  for (const auto& vote : votes) fold_vote(groups[key(vote)], vote);
+  return groups;
+}
+
+/// (site, protocol, network, context): the per-site granularity of §4.4.
+using RatingSiteKey = std::tuple<std::string, std::string, net::NetworkKind, study::Context>;
+inline RatingSiteKey rating_site_key(const population::VoteRecord& vote) {
+  return {vote.video->site, vote.video->protocol, vote.video->network, vote.context};
+}
 
 }  // namespace qperc::bench

@@ -10,8 +10,6 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "study/ab_study.hpp"
-#include "study/rating_study.hpp"
 
 int main(int argc, char** argv) {
   using namespace qperc;
@@ -49,14 +47,16 @@ int main(int argc, char** argv) {
 
   // A/B study votes, per (pair, network, site).
   {
-    study::AbStudyConfig config;
-    config.group = study::Group::kMicroworker;
-    config.seed = bench::master_seed();
-    const auto result = study::run_ab_study(library, config);
+    const auto report = bench::run_study(
+        library, bench::paper_study(study::StudyKind::kAb, study::Group::kMicroworker));
+    const auto by_site = bench::group_votes<study::AbAggregate>(
+        report.votes, [](const population::VoteRecord& vote) {
+          return std::tuple{vote.pair_index, vote.video->network, vote.video->site};
+        });
     std::ofstream out(out_dir / "ab_votes.csv");
     out << "protocol_a,protocol_b,network,site,prefer_a,no_difference,prefer_b,"
            "avg_replays,avg_confidence\n";
-    for (const auto& [key, cell] : result.by_site) {
+    for (const auto& [key, cell] : by_site) {
       const auto& [pair_index, network, site] = key;
       const auto& [proto_a, proto_b] = study::ab_pairs()[pair_index];
       out << proto_a << ',' << proto_b << ',' << net::to_string(network) << ',' << site
@@ -66,20 +66,19 @@ int main(int argc, char** argv) {
           << '\n';
     }
     std::cout << "wrote " << (out_dir / "ab_votes.csv").string() << " ("
-              << result.by_site.size() << " conditions, funnel " << result.funnel.initial
-              << "->" << result.funnel.final_count() << ")\n";
+              << by_site.size() << " conditions, funnel " << report.accumulator.participants
+              << "->" << report.accumulator.survivors << ")\n";
   }
 
   // Rating study votes, one row per vote.
   {
-    study::RatingStudyConfig config;
-    config.group = study::Group::kMicroworker;
-    config.seed = bench::master_seed();
-    const auto result = study::run_rating_study(library, config);
+    const auto report = bench::run_study(
+        library, bench::paper_study(study::StudyKind::kRating, study::Group::kMicroworker));
     std::ofstream out(out_dir / "rating_votes.csv");
     out << "site,protocol,network,context,vote\n";
     std::size_t rows = 0;
-    for (const auto& [key, votes] : result.votes_by_site) {
+    for (const auto& [key, votes] :
+         bench::group_votes<std::vector<double>>(report.votes, bench::rating_site_key)) {
       const auto& [site, protocol, network, context] = key;
       for (const double vote : votes) {
         out << site << ',' << protocol << ',' << net::to_string(network) << ','
@@ -88,8 +87,8 @@ int main(int argc, char** argv) {
       }
     }
     std::cout << "wrote " << (out_dir / "rating_votes.csv").string() << " (" << rows
-              << " votes, funnel " << result.funnel.initial << "->"
-              << result.funnel.final_count() << ")\n";
+              << " votes, funnel " << report.accumulator.participants << "->"
+              << report.accumulator.survivors << ")\n";
   }
   return 0;
 }

@@ -16,7 +16,7 @@ the declared hot-path roots:
 
     qperc::core::TrialContext::run            (the per-trial entry point)
     qperc::sim::Simulator::run / run_until    (the event loop)
-    (anonymous namespace)::simulate_one       (population-study inner loop)
+    (anonymous namespace)::simulate_one<DropVotes>  (population-study inner loop)
     (anonymous namespace)::run_cell           (fairness-grid inner loop)
 
 Call-graph construction (see ARCHITECTURE.md "Static analysis"):
@@ -170,7 +170,9 @@ RULE_HELP = {
 DEFAULT_ROOTS = [
     ("trial-context", r"^qperc::core::TrialContext::run\("),
     ("simulator-run", r"^qperc::sim::Simulator::(?:run|run_until)\("),
-    ("study-participant", r"\(anonymous namespace\)::simulate_one\("),
+    # The streaming instantiation only: simulate_one<KeepVotes> serves
+    # paper-size cohorts that keep every vote, and is not a hot root.
+    ("study-participant", r"\(anonymous namespace\)::simulate_one<[^>]*DropVotes>\("),
     ("fairness-cell", r"\(anonymous namespace\)::run_cell\("),
 ]
 

@@ -33,6 +33,15 @@ cmp "$WORKDIR/ref/$STORE" "$WORKDIR/resume/$STORE"
 echo "== status and export see the completed grid"
 "$QPERC" campaign status "${GRID[@]}" --out "$WORKDIR/resume" \
   | grep -q "completed: 4 / 4 conditions"
+# A --runs 21 store shares the text "campaign_seed7_runs2" but is another
+# campaign: status --runs 2 must not count or open it.
+"$QPERC" campaign run --sites 1 --runs 21 --seed 7 --protocols QUIC --networks DSL \
+  --jobs 2 --out "$WORKDIR/resume" --quiet
+test -f "$WORKDIR/resume/campaign_seed7_runs21.qcr"
+"$QPERC" campaign status "${GRID[@]}" --out "$WORKDIR/resume" > "$WORKDIR/status.txt" 2>&1
+grep -qF "(1 checkpoint file(s)" "$WORKDIR/status.txt" && ! grep -q "skipping" "$WORKDIR/status.txt" || {
+  echo "FAIL: status --runs 2 scanned the --runs 21 store" >&2; cat "$WORKDIR/status.txt" >&2; exit 1
+}
 "$QPERC" campaign export "${GRID[@]}" --out "$WORKDIR/ref" > "$WORKDIR/ref.csv"
 "$QPERC" campaign export "${GRID[@]}" --out "$WORKDIR/resume" > "$WORKDIR/resume.csv"
 cmp "$WORKDIR/ref.csv" "$WORKDIR/resume.csv"

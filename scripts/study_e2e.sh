@@ -74,6 +74,19 @@ ls "$WORKDIR/cond" | grep -q "_lte3_pol4000000b32768" || {
   echo "FAIL: conditioned outputs missing the link-conditions tag" >&2; exit 1
 }
 
+echo "== report reads only its own study's files, not a longer identity"
+# population_..._n100 is a prefix of population_..._n1000.
+for n in 100 1000; do
+  "$QPERC" study run --participants "$n" --sites 1 --runs 1 --jobs 2 \
+    --out "$WORKDIR/sizes" --quiet > /dev/null
+done
+"$QPERC" study report --participants 100 --sites 1 --runs 1 --out "$WORKDIR/sizes" \
+  > "$WORKDIR/sizes.txt" 2>&1
+grep -q "100 -> " "$WORKDIR/sizes.txt" && ! grep -q "skipping" "$WORKDIR/sizes.txt" || {
+  echo "FAIL: report --participants 100 scanned the n1000 checkpoint" >&2
+  cat "$WORKDIR/sizes.txt" >&2; exit 1
+}
+
 echo "== malformed invocations are rejected"
 if "$QPERC" study run --definitely-not-a-flag 2>/dev/null; then
   echo "FAIL: unknown flag was accepted" >&2; exit 1
@@ -100,7 +113,8 @@ expect_usage_error() {
   fi
 }
 SMALL=(--participants 64 --sites 1 --runs 1)
-for bad in "kind abx" "group foo"; do
+# A qualifier without the flag it qualifies is bad input too.
+for bad in "kind abx" "group foo" "link-trace-seed 3" "policer-burst-kb 32"; do
   read -r flag value <<< "$bad"
   expect_usage_error study --"$flag" "$value" --sites 1 --runs 1
   expect_usage_error study run --"$flag" "$value" "${SMALL[@]}" --out "$WORKDIR/bad"

@@ -46,7 +46,7 @@ struct ShardState {
 /// silently.
 class StudyStore {
  public:
-  static constexpr const char* kMagic = "qperc-popstudy-v2";
+  static constexpr const char* kMagic = "qperc-popstudy-v3";
 
   StudyStore(std::string path, std::uint64_t fingerprint, unsigned shard_index,
              unsigned shard_count, std::uint64_t block_size);

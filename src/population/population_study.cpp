@@ -15,9 +15,6 @@
 #include "core/protocol.hpp"
 #include "population/checkpoint.hpp"
 #include "runner/executor.hpp"
-#include "study/ab_study.hpp"
-#include "study/rater.hpp"
-#include "study/rating_study.hpp"
 #include "util/check.hpp"
 #include "web/website.hpp"
 
@@ -43,10 +40,11 @@ struct RatingEntry {
   std::uint16_t net_slot = 0;  // index into networks_for_context(context)
 };
 
-/// One A/B stimulus pair with its precomputed cell index.
+/// One A/B stimulus pair with its pair and precomputed cell index.
 struct AbEntry {
   const core::Video* first = nullptr;
   const core::Video* second = nullptr;
+  std::uint32_t pair = 0;  // index into study::ab_pairs()
   std::uint32_t cell = 0;
 };
 
@@ -68,10 +66,11 @@ struct EngineContext {
   const StudySpec* spec = nullptr;
   const Pools* pools = nullptr;
   const study::GroupParams* params = nullptr;
-  /// Per-study sub-seed: decorrelates studies that share a master seed but
-  /// differ in kind or group, exactly like the batch studies' study-level
-  /// fork("ab-study"/"rating-study").fork(group).
-  std::uint64_t stream_seed = 0;
+  /// Participant `id` draws from root.fork(id + 1). The root is
+  /// Rng(seed).fork("ab-study"|"rating-study").fork(group), which
+  /// decorrelates studies that share a master seed but differ in kind or
+  /// group.
+  Rng root{0};
 };
 
 std::vector<std::string> stimulus_sites(const core::VideoLibrary& library,
@@ -124,7 +123,7 @@ Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
           const core::Video& first = library.get(site, proto_a, network);
           const core::Video& second = library.get(site, proto_b, network);
           pools.ab.push_back(AbEntry{
-              &first, &second,
+              &first, &second, static_cast<std::uint32_t>(p),
               static_cast<std::uint32_t>(p * net::all_profiles().size() + slot)});
         }
       }
@@ -133,8 +132,7 @@ Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
   return pools;
 }
 
-/// Draws `shown` distinct pool indices via a partial Fisher–Yates shuffle —
-/// the same sampling scheme (and rng call sequence) as the batch studies.
+/// Draws `shown` distinct pool indices via a partial Fisher–Yates shuffle.
 template <typename Entry, typename Visit>
 void sample_without_replacement(const std::vector<Entry>& pool, std::size_t shown,
                                 Scratch& scratch, Rng& rng, const Visit& visit) {
@@ -150,20 +148,33 @@ void sample_without_replacement(const std::vector<Entry>& pool, std::size_t show
   }
 }
 
+/// Where simulate_one sends each vote besides the accumulator. A streaming
+/// run drops them (the empty call compiles away); a run that keeps votes
+/// appends them to its block's records.
+struct DropVotes {
+  void operator()(const VoteRecord& /*vote*/) const {}
+};
+struct KeepVotes {
+  std::vector<VoteRecord>* records = nullptr;
+  void operator()(const VoteRecord& vote) const { records->push_back(vote); }
+};
+
 /// Simulates one participant end to end: traits, conformance funnel, and —
-/// for survivors — every vote, folded straight into `acc`. A pure function
-/// of (stream_seed, id): no shared mutable state, no allocation after the
-/// scratch buffer's first use.
+/// for survivors — every vote, folded straight into `acc` and handed to
+/// `keep`. A pure function of (ctx.root, id): no shared mutable state, and
+/// with DropVotes no allocation after the scratch buffer's first use.
+template <typename VoteSink>
 void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
-                  Accumulator& acc) {
-  Rng rng = study::participant_stream(ctx.stream_seed, id);
-  const study::Participant participant = study::sample_participant(ctx.spec->group, rng);
+                  Accumulator& acc, const VoteSink& keep) {
+  Rng rng = ctx.root.fork(id + 1);
+  const study::Enrolment enrolment = study::enrol(ctx.spec->group, ctx.spec->kind, rng);
   ++acc.participants;
-  if (const auto rule = study::sample_violation(ctx.spec->kind, participant, rng)) {
-    ++acc.removed_at[*rule];
+  if (enrolment.violation) {
+    ++acc.removed_at[*enrolment.violation];
     return;
   }
   ++acc.survivors;
+  const study::Participant& participant = enrolment.participant;
 
   if (ctx.spec->kind == study::StudyKind::kRating) {
     const std::array<std::pair<study::Context, std::size_t>, 3> blocks = {
@@ -177,9 +188,12 @@ void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
       const std::size_t base = rating_cell_base(context);
       sample_without_replacement(pool, count, scratch, rng, [&](const RatingEntry& entry) {
         const double vote = study::rate_video(*entry.video, context, participant, rng);
+        const double seconds = rng.normal(ctx.params->seconds_per_video_rating, 3.0);
         acc.rating_cells[base + entry.protocol * 2 + entry.net_slot].votes.push(vote);
-        acc.seconds.push(rng.normal(ctx.params->seconds_per_video_rating, 3.0));
+        acc.seconds.push(seconds);
         ++acc.votes;
+        keep(VoteRecord{
+            .video = entry.video, .context = context, .rating = vote, .seconds = seconds});
       });
     }
     return;
@@ -200,6 +214,7 @@ void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
             choice = study::AbChoice::kFirst;
           }
         }
+        const double seconds = rng.normal(ctx.params->seconds_per_video_ab, 3.0);
         AbCell& cell = acc.ab_cells[entry.cell];
         if (choice == study::AbChoice::kFirst) {
           ++cell.prefer_first;
@@ -211,8 +226,14 @@ void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
         cell.replays += vote.replays;
         cell.confidence_q +=
             std::llround(vote.confidence * stats::ExactMoments::kScale);
-        acc.seconds.push(rng.normal(ctx.params->seconds_per_video_ab, 3.0));
+        acc.seconds.push(seconds);
         ++acc.votes;
+        keep(VoteRecord{.video = entry.first,
+                        .pair_index = entry.pair,
+                        .choice = choice,
+                        .replays = vote.replays,
+                        .confidence = vote.confidence,
+                        .seconds = seconds});
       });
 }
 
@@ -248,6 +269,9 @@ void RunOptions::validate() const {
   if (block_size == 0) throw std::invalid_argument("study: block size must be >= 1");
   if (checkpoint_every_blocks == 0) {
     throw std::invalid_argument("study: checkpoint interval must be >= 1");
+  }
+  if (keep_votes && resume) {
+    throw std::invalid_argument("study: a run that keeps votes cannot resume");
   }
 }
 
@@ -350,11 +374,9 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
   ctx.spec = &spec;
   ctx.pools = &pools;
   ctx.params = &study::params_for(spec.group);
-  // Per-study sub-seed, a pure function of the spec (see EngineContext).
-  ctx.stream_seed = Rng(spec.seed)
-                        .fork(kind_token(spec.kind))
-                        .fork(static_cast<std::uint64_t>(spec.group))
-                        .next_u64();
+  ctx.root = Rng(spec.seed)
+                 .fork(spec.kind == study::StudyKind::kAb ? "ab-study" : "rating-study")
+                 .fork(static_cast<std::uint64_t>(spec.group));
 
   const std::uint64_t owned = owned_blocks(spec.participants, options.block_size,
                                            options.shard_index, options.shard_count);
@@ -396,6 +418,7 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
     round_accs.push_back(make_accumulator(spec.kind));
   }
   std::vector<Scratch> scratches(round_size);
+  std::vector<std::vector<VoteRecord>> round_votes(options.keep_votes ? round_size : 0);
 
   const auto started = std::chrono::steady_clock::now();
   const auto snapshot = [&] {
@@ -424,6 +447,7 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
     const std::size_t n_round =
         static_cast<std::size_t>(std::min<std::uint64_t>(round_size, limit - blocks_done));
     for (std::size_t slot = 0; slot < n_round; ++slot) round_accs[slot].reset_counts();
+    for (auto& votes : round_votes) votes.clear();
     const auto failures = executor.run(n_round, [&](std::size_t slot) {
       const std::uint64_t ordinal = blocks_done + slot;
       const std::uint64_t block = options.shard_index + ordinal * options.shard_count;
@@ -432,12 +456,26 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
           std::min<std::uint64_t>(spec.participants, begin + options.block_size);
       Scratch& scratch = scratches[slot];
       Accumulator& acc = round_accs[slot];
-      for (std::uint64_t id = begin; id < end; ++id) simulate_one(ctx, id, scratch, acc);
+      if (options.keep_votes) {
+        const KeepVotes keep{&round_votes[slot]};
+        for (std::uint64_t id = begin; id < end; ++id) simulate_one(ctx, id, scratch, acc, keep);
+      } else {
+        for (std::uint64_t id = begin; id < end; ++id) {
+          simulate_one(ctx, id, scratch, acc, DropVotes{});
+        }
+      }
     });
     if (!failures.empty()) std::rethrow_exception(failures.front().error);
     // Fold in block order. ExactMoments merges are bit-exact under any
-    // order anyway; the fixed order keeps the loop easy to reason about.
-    for (std::size_t slot = 0; slot < n_round; ++slot) master.merge(round_accs[slot]);
+    // order anyway; the fixed order keeps the loop easy to reason about,
+    // and it puts the kept votes in participant-id order.
+    for (std::size_t slot = 0; slot < n_round; ++slot) {
+      master.merge(round_accs[slot]);
+      if (options.keep_votes) {
+        report.votes.insert(report.votes.end(), round_votes[slot].begin(),
+                            round_votes[slot].end());
+      }
+    }
     blocks_done += n_round;
     since_checkpoint += n_round;
 

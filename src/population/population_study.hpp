@@ -1,18 +1,19 @@
-// Population-scale streaming studies.
+// The participant loop: every user study in qperc runs here.
 //
-// The batch studies in src/study materialise every vote (std::map of
-// std::vector<double>), which caps them at cohort sizes the paper actually
-// recruited. This subsystem answers the scaling question the paper leaves
-// open — what effects WOULD a much larger cohort resolve? — by rebuilding
-// the same pipeline (participant traits -> R1..R7 conformance funnel ->
-// rater model -> per-cell aggregation) as a stream:
+// One loop serves both the paper-size cohorts behind Figures 3-6 and
+// population-scale cohorts the paper could not recruit (what effects WOULD
+// a much larger cohort resolve?). Each participant goes through the same
+// pipeline — traits -> R1..R7 conformance funnel -> video assignment ->
+// rater model — and every vote is folded as it is drawn:
 //
-//   * Participants are never stored. Each one is generated on the fly from
-//     an identity-derived RNG stream (study::participant_stream): a pure
-//     function of (seed, participant_id), so the draws do not depend on
-//     thread, shard, block size, or enumeration order.
+//   * Participants are never stored. Participant `id` draws from
+//     Rng(seed).fork("ab-study"|"rating-study").fork(group).fork(id + 1): a
+//     pure function of (spec, id), so the draws do not depend on thread,
+//     shard, block size, or enumeration order.
 //   * Votes fold into fixed-size accumulators (stats::ExactMoments — integer
 //     fixed-point count/sum/sum-of-squares). Memory is O(cells), not O(N).
+//     A run may also keep one VoteRecord per vote (RunOptions::keep_votes),
+//     for the figures that need raw votes; that costs O(votes).
 //   * Stimuli are the cached per-condition Videos of core::VideoLibrary;
 //     the trial simulation cost is paid once per condition and amortised
 //     over every participant.
@@ -37,6 +38,7 @@
 #include "stats/streaming.hpp"
 #include "study/conformance.hpp"
 #include "study/participant.hpp"
+#include "study/rater.hpp"
 
 namespace qperc::population {
 
@@ -125,6 +127,28 @@ struct Accumulator {
 /// kind. All accumulators that ever merge must come from this function.
 [[nodiscard]] Accumulator make_accumulator(study::StudyKind kind);
 
+/// One vote as the engine drew it: what the figures need beyond per-cell
+/// sums (medians, ANOVA, per-site means, a per-vote CSV).
+struct VoteRecord {
+  /// The stimulus: the rated video, or the first video of an A/B pair (its
+  /// site and network). Points into the VideoLibrary the study ran against.
+  const core::Video* video = nullptr;
+  /// A/B: index into study::ab_pairs().
+  std::size_t pair_index = 0;
+  /// Rating: the context block the video was shown in.
+  study::Context context = study::Context::kWork;
+  /// Rating: the vote on the 10..70 scale.
+  double rating = 0.0;
+  /// A/B: the answer in pair order (first = the pair's first protocol).
+  study::AbChoice choice = study::AbChoice::kNoDifference;
+  std::uint32_t replays = 0;
+  double confidence = 0.0;
+  /// Seconds the participant spent on this video.
+  double seconds = 0.0;
+
+  friend bool operator==(const VoteRecord&, const VoteRecord&) = default;
+};
+
 /// Throttled progress snapshot for operator display.
 struct Progress {
   /// Participants owned by this shard.
@@ -157,6 +181,9 @@ struct RunOptions {
   /// Load an existing checkpoint (same spec fingerprint + shard geometry)
   /// and continue; without this an existing file is overwritten.
   bool resume = false;
+  /// Also keep one VoteRecord per vote in Report::votes. Records are not
+  /// checkpointed, so a run that keeps them cannot resume.
+  bool keep_votes = false;
   std::function<void(const Progress&)> on_progress;
 
   void validate() const;
@@ -164,6 +191,9 @@ struct RunOptions {
 
 struct Report {
   Accumulator accumulator;
+  /// With RunOptions::keep_votes: every vote of this shard, in participant-id
+  /// order (so independent of the job count).
+  std::vector<VoteRecord> votes;
   /// Blocks this shard owns / has completed (cumulative, incl. resumed).
   std::uint64_t owned_blocks = 0;
   std::uint64_t blocks_done = 0;

@@ -63,6 +63,12 @@ std::optional<std::size_t> sample_violation(StudyKind kind, const Participant& p
   return std::nullopt;
 }
 
+Enrolment enrol(Group group, StudyKind kind, Rng& rng) {
+  Enrolment enrolment{sample_participant(group, rng), std::nullopt};
+  enrolment.violation = sample_violation(kind, enrolment.participant, rng);
+  return enrolment;
+}
+
 FunnelResult simulate_funnel(Group group, StudyKind kind, std::size_t initial, Rng rng) {
   FunnelResult result;
   result.initial = initial;
@@ -70,13 +76,10 @@ FunnelResult simulate_funnel(Group group, StudyKind kind, std::size_t initial, R
   for (std::size_t i = 0; i < initial; ++i) {
     // Identity-derived stream: participant i's traits and violations are a
     // pure function of (rng state, i), never of how many draws earlier
-    // participants consumed. A shared sequential stream here would make
-    // every participant's outcome depend on the processing order — the
-    // shard-layout bug the streaming engine's determinism tests guard
-    // against (see participant_stream).
+    // participants consumed — the derivation the streaming engine uses, so
+    // its results do not depend on job count, shard layout or resume.
     Rng participant_rng = rng.fork(i + 1);
-    Participant participant = sample_participant(group, participant_rng);
-    if (const auto rule = sample_violation(kind, participant, participant_rng)) {
+    if (const auto rule = enrol(group, kind, participant_rng).violation) {
       ++removed_at[*rule];
     }
   }

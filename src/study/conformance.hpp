@@ -28,6 +28,19 @@ inline constexpr std::size_t kRuleCount = 7;
                                                           const Participant& participant,
                                                           Rng& rng);
 
+/// One participant entering a study: their traits and the first rule their
+/// session violates (nullopt for a survivor).
+struct Enrolment {
+  Participant participant;
+  std::optional<std::size_t> violation;
+};
+
+/// The head of the participant loop, shared by the streaming study engine
+/// (population::run_streaming_study) and simulate_funnel: samples the traits,
+/// then the R1..R7 funnel, from the participant's own stream `rng`, which
+/// the caller derives from the participant's identity alone.
+[[nodiscard]] Enrolment enrol(Group group, StudyKind kind, Rng& rng);
+
 /// Table-3 row: survivor counts after each rule, applied sequentially.
 struct FunnelResult {
   std::size_t initial = 0;

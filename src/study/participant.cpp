@@ -91,8 +91,22 @@ Participant sample_participant(Group group, Rng& rng) {
   return participant;
 }
 
-Rng participant_stream(std::uint64_t study_seed, std::uint64_t participant_id) {
-  return Rng(study_seed).fork("participant").fork(participant_id);
+const std::vector<std::pair<std::string, std::string>>& ab_pairs() {
+  static const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"TCP+", "TCP"},
+      {"QUIC", "TCP"},
+      {"QUIC", "TCP+"},
+      {"QUIC+BBR", "TCP+BBR"},
+  };
+  return pairs;
+}
+
+const std::vector<net::NetworkKind>& networks_for_context(Context context) {
+  static const std::vector<net::NetworkKind> fast = {net::NetworkKind::kDsl,
+                                                     net::NetworkKind::kLte};
+  static const std::vector<net::NetworkKind> plane = {net::NetworkKind::kDa2gc,
+                                                      net::NetworkKind::kMss};
+  return context == Context::kPlane ? plane : fast;
 }
 
 }  // namespace qperc::study

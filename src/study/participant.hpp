@@ -6,12 +6,18 @@
 // rater with per-person bias/noise, a just-noticeable-difference threshold
 // for A/B comparisons, and latent inattentiveness/cheating traits that
 // generate the rule violations the conformance filter (Table 3) removes.
+// The study design they are shown (Figure 4's protocol pairs, the networks
+// of each rating context) lives here too.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "net/profile.hpp"
 #include "util/rng.hpp"
 
 namespace qperc::study {
@@ -66,14 +72,12 @@ struct Participant {
 
 [[nodiscard]] Participant sample_participant(Group group, Rng& rng);
 
-/// Identity-derived per-participant RNG stream: a pure function of
-/// (study_seed, participant_id), never of thread, shard, or enumeration
-/// order — the same trick as core::condition_base_seed. Every execution
-/// layout (sequential loop, worker pool, multi-process shards) that samples
-/// participant `id` from this stream observes the same traits, violations,
-/// and votes, which is what makes population-scale results bit-identical
-/// regardless of how the work was partitioned.
-[[nodiscard]] Rng participant_stream(std::uint64_t study_seed,
-                                     std::uint64_t participant_id);
+/// The four protocol pairs of Figure 4, in its order. The first element is
+/// the "supposedly faster" variant.
+[[nodiscard]] const std::vector<std::pair<std::string, std::string>>& ab_pairs();
+
+/// Networks shown in a rating-study context block (work/free time: DSL+LTE;
+/// plane: DA2GC+MSS).
+[[nodiscard]] const std::vector<net::NetworkKind>& networks_for_context(Context context);
 
 }  // namespace qperc::study

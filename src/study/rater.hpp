@@ -2,6 +2,8 @@
 // "video" into a 10..70 quality vote (Study 2) or an A/B choice (Study 1).
 #pragma once
 
+#include <cstdint>
+
 #include "core/video.hpp"
 #include "study/participant.hpp"
 #include "util/rng.hpp"
@@ -36,5 +38,41 @@ struct AbVote {
 /// Just-noticeable-difference vote between two videos shown side by side.
 [[nodiscard]] AbVote ab_vote(const core::Video& first, const core::Video& second,
                              const Participant& participant, Rng& rng);
+
+/// A/B votes folded for one Figure-4 cell (or one of its sites).
+struct AbAggregate {
+  std::uint64_t prefer_first = 0;
+  std::uint64_t no_difference = 0;
+  std::uint64_t prefer_second = 0;
+  double replay_sum = 0.0;
+  double confidence_sum = 0.0;
+
+  void add(AbChoice choice, std::uint32_t replays, double confidence) {
+    if (choice == AbChoice::kFirst) {
+      ++prefer_first;
+    } else if (choice == AbChoice::kSecond) {
+      ++prefer_second;
+    } else {
+      ++no_difference;
+    }
+    replay_sum += replays;
+    confidence_sum += confidence;
+  }
+  [[nodiscard]] std::uint64_t total() const {
+    return prefer_first + no_difference + prefer_second;
+  }
+  [[nodiscard]] double share_first() const {
+    return total() ? static_cast<double>(prefer_first) / static_cast<double>(total()) : 0.0;
+  }
+  [[nodiscard]] double share_no_difference() const {
+    return total() ? static_cast<double>(no_difference) / static_cast<double>(total()) : 0.0;
+  }
+  [[nodiscard]] double share_second() const {
+    return total() ? static_cast<double>(prefer_second) / static_cast<double>(total()) : 0.0;
+  }
+  [[nodiscard]] double avg_replays() const {
+    return total() ? replay_sum / static_cast<double>(total()) : 0.0;
+  }
+};
 
 }  // namespace qperc::study

@@ -4,6 +4,7 @@
 // participant count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -266,6 +267,89 @@ TEST(PopulationStudy, CheckpointRoundTripsAndRejectsCorruption) {
   std::remove(path.c_str());
 }
 
+TEST(PopulationStudy, RefusesCheckpointsOfThePreviousParticipantStream) {
+  // v2 files were drawn from another per-participant stream; resuming one
+  // would mix two streams in one study, so the magic bump must refuse it.
+  const StudySpec spec = small_spec(study::StudyKind::kRating, 300);
+  RunOptions options;
+  options.jobs = 1;
+  options.block_size = 50;
+  const auto report = run(spec, options);
+  const std::string path = temp_path("qperc_pop_v2.qps");
+  const StudyStore store(path, spec.fingerprint(), 0, 1, options.block_size);
+  store.save(report.accumulator, report.blocks_done);
+  const auto saved = read_durable(path, StudyStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  write_durable(path,
+                "qperc-popstudy-v2 " + std::to_string(spec.fingerprint()) + " 0 1 50 " +
+                    std::to_string(report.blocks_done),
+                saved->payload);
+
+  Accumulator loaded = make_accumulator(spec.kind);
+  std::uint64_t blocks_done = 0;
+  EXPECT_FALSE(store.load(loaded, blocks_done));
+  EXPECT_EQ(blocks_done, 0u);
+  EXPECT_FALSE(read_shard(path, make_accumulator(spec.kind)).has_value());
+  std::remove(path.c_str());
+}
+
+/// Folds kept votes into a fresh accumulator, taking the funnel (which has
+/// no votes) from `run`.
+Accumulator fold_votes(const StudySpec& spec, const Report& run) {
+  Accumulator acc = make_accumulator(spec.kind);
+  acc.participants = run.accumulator.participants;
+  acc.survivors = run.accumulator.survivors;
+  acc.removed_at = run.accumulator.removed_at;
+  for (const VoteRecord& vote : run.votes) {
+    ++acc.votes;
+    acc.seconds.push(vote.seconds);
+    for (RatingCell& cell : acc.rating_cells) {
+      if (cell.protocol == vote.video->protocol && cell.network == vote.video->network &&
+          cell.context == vote.context) {
+        cell.votes.push(vote.rating);
+      }
+    }
+    for (AbCell& cell : acc.ab_cells) {
+      if (cell.pair_index != vote.pair_index || cell.network != vote.video->network) continue;
+      if (vote.choice == study::AbChoice::kFirst) {
+        ++cell.prefer_first;
+      } else if (vote.choice == study::AbChoice::kSecond) {
+        ++cell.prefer_second;
+      } else {
+        ++cell.no_difference;
+      }
+      cell.replays += vote.replays;
+      cell.confidence_q += std::llround(vote.confidence * stats::ExactMoments::kScale);
+    }
+  }
+  return acc;
+}
+
+TEST(PopulationStudy, KeptVotesAreJobIndependentAndFoldToTheCells) {
+  for (const auto kind : {study::StudyKind::kRating, study::StudyKind::kAb}) {
+    const StudySpec spec = small_spec(kind, 700);
+    RunOptions one;
+    one.jobs = 1;
+    one.block_size = 64;
+    one.keep_votes = true;
+    RunOptions four = one;
+    four.jobs = 4;
+    four.block_size = 100;
+    const auto a = run(spec, one);
+    const auto b = run(spec, four);
+    ASSERT_EQ(a.votes.size(), a.accumulator.votes);
+    EXPECT_TRUE(a.votes == b.votes);
+    // The records carry every vote the cells hold, bit for bit.
+    EXPECT_EQ(report_bytes(spec, fold_votes(spec, a)), report_bytes(spec, a.accumulator));
+    // Keeping votes does not change the accumulated numbers.
+    RunOptions plain = one;
+    plain.keep_votes = false;
+    const auto dropped = run(spec, plain);
+    EXPECT_TRUE(dropped.votes.empty());
+    EXPECT_EQ(report_bytes(spec, dropped.accumulator), report_bytes(spec, a.accumulator));
+  }
+}
+
 TEST(PopulationStudy, MemoryIsConstantInTheParticipantCount) {
   // Warm everything once (library cache, static pools, allocator pools).
   RunOptions warmup;
@@ -317,6 +401,10 @@ TEST(PopulationStudy, SpecAndOptionsValidateInput) {
   EXPECT_THROW(options.validate(), std::invalid_argument);
   options.shard_index = 0;
   options.block_size = 0;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
+  options.block_size = 64;
+  options.keep_votes = true;
+  options.resume = true;  // kept votes are not checkpointed
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 

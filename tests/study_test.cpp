@@ -1,13 +1,15 @@
-// Study-layer tests: rater psychometrics, conformance filter, study drivers.
+// Study-layer tests: rater psychometrics, conformance filter, and the
+// paper's two studies run end to end on the population engine.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/video.hpp"
+#include "population/population_study.hpp"
 #include "stats/stats.hpp"
-#include "study/ab_study.hpp"
 #include "study/conformance.hpp"
 #include "study/participant.hpp"
 #include "study/rater.hpp"
-#include "study/rating_study.hpp"
 
 namespace qperc::study {
 namespace {
@@ -234,80 +236,70 @@ core::VideoLibrary& small_library() {
   return library;
 }
 
+/// A lab-domain study of `participants` on the engine, keeping every vote
+/// (A/B participants see 28 pairs, raters the 11+11+5 blocks).
+population::Report run_study(StudyKind kind, Group group, std::uint64_t participants,
+                             std::uint64_t seed) {
+  population::StudySpec spec;
+  spec.kind = kind;
+  spec.group = group;
+  spec.participants = participants;
+  spec.seed = seed;
+  spec.sites = 5;
+  spec.video_runs = 5;
+  spec.videos_ab = 28;
+  population::RunOptions options;
+  options.keep_votes = true;
+  return population::run_streaming_study(small_library(), spec, options);
+}
+
+/// A/B votes folded per network over all pairs.
+std::map<net::NetworkKind, AbAggregate> ab_by_network(const population::Report& report) {
+  std::map<net::NetworkKind, AbAggregate> cells;
+  for (const auto& vote : report.votes) {
+    cells[vote.video->network].add(vote.choice, vote.replays, vote.confidence);
+  }
+  return cells;
+}
+
 TEST(AbStudyDriver, RunsAndAggregates) {
-  AbStudyConfig config;
-  config.group = Group::kLab;
-  config.initial_participants = 20;
-  config.videos_per_participant = 28;
-  config.lab_domains_only = true;
-  config.seed = 11;
-  const auto result = run_ab_study(small_library(), config);
-  EXPECT_EQ(result.funnel.final_count(), 20u);
+  const auto report = run_study(StudyKind::kAb, Group::kLab, 20, 11);
+  EXPECT_EQ(report.accumulator.survivors, 20u);
   std::uint64_t total_votes = 0;
-  for (const auto& [key, cell] : result.cells) total_votes += cell.total();
+  double seconds = 0.0;
+  for (const auto& [network, cell] : ab_by_network(report)) total_votes += cell.total();
+  for (const auto& vote : report.votes) seconds += vote.seconds;
   EXPECT_EQ(total_votes, 20u * 28u);
-  EXPECT_GT(result.avg_seconds_per_video, 5.0);
+  EXPECT_GT(seconds / static_cast<double>(report.votes.size()), 5.0);
 }
 
 TEST(AbStudyDriver, SlowNetworksGetMoreDecidedVotes) {
-  AbStudyConfig config;
-  config.group = Group::kLab;
-  config.initial_participants = 60;
-  config.videos_per_participant = 28;
-  config.lab_domains_only = true;
-  config.seed = 12;
-  const auto result = run_ab_study(small_library(), config);
-  // Aggregate decided share on DSL vs MSS over all pairs.
-  double decided_dsl = 0.0;
-  double decided_mss = 0.0;
-  double n_dsl = 0.0;
-  double n_mss = 0.0;
-  for (const auto& [key, cell] : result.cells) {
-    if (key.second == net::NetworkKind::kDsl) {
-      decided_dsl += static_cast<double>(cell.prefer_first + cell.prefer_second);
-      n_dsl += static_cast<double>(cell.total());
-    }
-    if (key.second == net::NetworkKind::kMss) {
-      decided_mss += static_cast<double>(cell.prefer_first + cell.prefer_second);
-      n_mss += static_cast<double>(cell.total());
-    }
-  }
-  ASSERT_GT(n_dsl, 0.0);
-  ASSERT_GT(n_mss, 0.0);
-  EXPECT_GT(decided_mss / n_mss, decided_dsl / n_dsl);
+  const auto report = run_study(StudyKind::kAb, Group::kLab, 60, 12);
+  // Decided share on DSL vs MSS over all pairs.
+  const auto cells = ab_by_network(report);
+  const AbAggregate& dsl = cells.at(net::NetworkKind::kDsl);
+  const AbAggregate& mss = cells.at(net::NetworkKind::kMss);
+  ASSERT_GT(dsl.total(), 0u);
+  ASSERT_GT(mss.total(), 0u);
+  EXPECT_GT(mss.share_first() + mss.share_second(), dsl.share_first() + dsl.share_second());
 }
 
 TEST(RatingStudyDriver, RunsAndCollectsVotes) {
-  RatingStudyConfig config;
-  config.group = Group::kLab;
-  config.initial_participants = 15;
-  config.lab_domains_only = true;
-  config.seed = 13;
-  const auto result = run_rating_study(small_library(), config);
-  EXPECT_EQ(result.funnel.final_count(), 15u);
-  std::size_t total = 0;
-  for (const auto& [key, votes] : result.votes_by_cell) {
-    total += votes.size();
-    for (const double vote : votes) {
-      EXPECT_GE(vote, 10.0);
-      EXPECT_LE(vote, 70.0);
-    }
+  const auto report = run_study(StudyKind::kRating, Group::kLab, 15, 13);
+  EXPECT_EQ(report.accumulator.survivors, 15u);
+  for (const auto& vote : report.votes) {
+    EXPECT_GE(vote.rating, 10.0);
+    EXPECT_LE(vote.rating, 70.0);
   }
-  EXPECT_EQ(total, 15u * (11 + 11 + 5));
+  EXPECT_EQ(report.votes.size(), 15u * (11 + 11 + 5));
 }
 
 TEST(RatingStudyDriver, PlaneConditionsRatePoor) {
-  RatingStudyConfig config;
-  config.group = Group::kLab;
-  config.initial_participants = 25;
-  config.lab_domains_only = true;
-  config.seed = 14;
-  const auto result = run_rating_study(small_library(), config);
+  const auto report = run_study(StudyKind::kRating, Group::kLab, 25, 14);
   std::vector<double> plane_votes;
   std::vector<double> fast_votes;
-  for (const auto& [key, votes] : result.votes_by_cell) {
-    auto& sink = std::get<2>(key) == Context::kPlane ? plane_votes : fast_votes;
-    sink.insert(sink.end(), votes.begin(), votes.end());
+  for (const auto& vote : report.votes) {
+    (vote.context == Context::kPlane ? plane_votes : fast_votes).push_back(vote.rating);
   }
   ASSERT_FALSE(plane_votes.empty());
   ASSERT_FALSE(fast_votes.empty());
@@ -317,20 +309,17 @@ TEST(RatingStudyDriver, PlaneConditionsRatePoor) {
 TEST(RatingStudyDriver, VotesCorrelateNegativelyWithSpeedIndex) {
   // Figure-6 property at lab scale: per-site mean votes vs the SI of the
   // video shown must correlate negatively.
-  RatingStudyConfig config;
-  config.group = Group::kMicroworker;
-  config.initial_participants = 150;
-  config.lab_domains_only = true;
-  config.seed = 15;
-  auto& library = small_library();
-  const auto result = run_rating_study(library, config);
+  const auto report = run_study(StudyKind::kRating, Group::kMicroworker, 150, 15);
+  std::map<std::pair<const core::Video*, Context>, std::vector<double>> votes_by_site;
+  for (const auto& vote : report.votes) {
+    votes_by_site[{vote.video, vote.context}].push_back(vote.rating);
+  }
 
   std::vector<double> si_values;
   std::vector<double> vote_means;
-  for (const auto& [key, votes] : result.votes_by_site) {
-    const auto& [site, protocol, network, context] = key;
+  for (const auto& [key, votes] : votes_by_site) {
     if (votes.size() < 5) continue;
-    si_values.push_back(library.get(site, protocol, network).metrics.si_ms());
+    si_values.push_back(key.first->metrics.si_ms());
     vote_means.push_back(stats::mean(votes));
   }
   ASSERT_GT(si_values.size(), 20u);
@@ -340,30 +329,14 @@ TEST(RatingStudyDriver, VotesCorrelateNegativelyWithSpeedIndex) {
 TEST(AbStudyDriver, ConfidenceTracksNetworkDifficulty) {
   // Confidence should be higher where differences are easy to spot (slow
   // networks) than on DSL.
-  AbStudyConfig config;
-  config.group = Group::kLab;
-  config.initial_participants = 40;
-  config.videos_per_participant = 28;
-  config.lab_domains_only = true;
-  config.seed = 16;
-  const auto result = run_ab_study(small_library(), config);
-  double dsl_confidence = 0.0;
-  double mss_confidence = 0.0;
-  double dsl_n = 0.0;
-  double mss_n = 0.0;
-  for (const auto& [key, cell] : result.cells) {
-    if (key.second == net::NetworkKind::kDsl) {
-      dsl_confidence += cell.confidence_sum;
-      dsl_n += static_cast<double>(cell.total());
-    }
-    if (key.second == net::NetworkKind::kMss) {
-      mss_confidence += cell.confidence_sum;
-      mss_n += static_cast<double>(cell.total());
-    }
-  }
-  ASSERT_GT(dsl_n, 0.0);
-  ASSERT_GT(mss_n, 0.0);
-  EXPECT_GT(mss_confidence / mss_n, dsl_confidence / dsl_n);
+  const auto report = run_study(StudyKind::kAb, Group::kLab, 40, 16);
+  const auto cells = ab_by_network(report);
+  const AbAggregate& dsl = cells.at(net::NetworkKind::kDsl);
+  const AbAggregate& mss = cells.at(net::NetworkKind::kMss);
+  ASSERT_GT(dsl.total(), 0u);
+  ASSERT_GT(mss.total(), 0u);
+  EXPECT_GT(mss.confidence_sum / static_cast<double>(mss.total()),
+            dsl.confidence_sum / static_cast<double>(dsl.total()));
 }
 
 TEST(NetworksForContext, MatchStudyDesign) {

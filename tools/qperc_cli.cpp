@@ -32,8 +32,6 @@
 #include "runner/torture.hpp"
 #include "stats/stats.hpp"
 #include "stats/streaming.hpp"
-#include "study/ab_study.hpp"
-#include "study/rating_study.hpp"
 #include "trace/counters.hpp"
 #include "trace/jsonl_sink.hpp"
 // The one TU of this binary holding the counting operator new/delete shim:
@@ -120,6 +118,8 @@ net::LinkConditions link_conditions_from_args(const Args& args) {
       throw std::invalid_argument("--link-trace expects lte or wifi, got '" + kind + "'");
     }
     conditions.link_trace_seed = args.u64("--link-trace-seed", 1);
+  } else if (args.has("--link-trace-seed")) {
+    throw std::invalid_argument("--link-trace-seed needs --link-trace");
   }
   if (args.has("--policer-rate-mbps")) {
     conditions.policer_rate =
@@ -127,6 +127,8 @@ net::LinkConditions link_conditions_from_args(const Args& args) {
     // Carrier policers are commonly provisioned with bursts in the tens of
     // kilobytes; 64 kB is the documented default, override with --policer-burst-kb.
     conditions.policer_burst_bytes = args.u64("--policer-burst-kb", 64) * 1024;
+  } else if (args.has("--policer-burst-kb")) {
+    throw std::invalid_argument("--policer-burst-kb needs --policer-rate-mbps");
   }
   return conditions;
 }
@@ -163,15 +165,33 @@ std::string shard_file_name(const std::string& prefix, unsigned shard_index,
   return name + std::string(ext);
 }
 
-/// The regular files in `dir` named `<prefix>*<ext>`, sorted.
+/// The regular files in `dir` that shard_file_name could have named for
+/// `prefix` and `ext` — `<prefix><ext>` or `<prefix>_shard<I>of<N><ext>` —
+/// sorted. A longer identity that merely starts with `prefix` (runs 21 for
+/// runs 2, n1000 for n100) is not one of them.
 std::vector<std::string> files_with_prefix(const std::string& dir, const std::string& prefix,
                                            std::string_view ext) {
+  const auto is_number = [](std::string_view digits) {
+    return !digits.empty() && digits.find_first_not_of("0123456789") == std::string_view::npos;
+  };
+  // What sits between the prefix and the extension: nothing or a shard tag.
+  const auto is_shard_tag = [&](std::string_view tag) {
+    if (tag.empty()) return true;
+    if (!tag.starts_with("_shard")) return false;
+    tag.remove_prefix(6);
+    const std::size_t of = tag.find("of");
+    return of != std::string_view::npos && is_number(tag.substr(0, of)) &&
+           is_number(tag.substr(of + 2));
+  };
   std::vector<std::string> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (name.starts_with(prefix) && name.ends_with(ext)) {
+    if (name.size() >= prefix.size() + ext.size() && name.starts_with(prefix) &&
+        name.ends_with(ext) &&
+        is_shard_tag(std::string_view(name).substr(
+            prefix.size(), name.size() - prefix.size() - ext.size()))) {
       files.push_back(entry.path().string());
     }
   }
@@ -435,60 +455,6 @@ study::Group group_arg(const Args& args) {
                               "'");
 }
 
-int cmd_study(const Args& args) {
-  core::VideoLibrary library(args.u64("--seed", 7), runs_arg(args, 31));
-  const auto kind = kind_arg(args);
-  const auto group = group_arg(args);
-  const std::size_t site_budget = args.u64("--sites", 36);
-  const bool lab_only = site_budget <= web::lab_study_domains().size();
-
-  if (kind == study::StudyKind::kAb) {
-    study::AbStudyConfig config;
-    config.group = group;
-    config.lab_domains_only = lab_only;
-    config.seed = args.u64("--seed", 7);
-    const auto result = study::run_ab_study(library, config);
-    std::cout << "A/B study, " << study::to_string(group) << ": "
-              << result.funnel.initial << " -> " << result.funnel.final_count()
-              << " participants after filtering\n\n";
-    for (std::size_t p = 0; p < study::ab_pairs().size(); ++p) {
-      const auto& [a, b] = study::ab_pairs()[p];
-      TextTable table({"Network", "prefer " + a, "No Diff.", "prefer " + b, "replays"});
-      for (const auto& profile : net::all_profiles()) {
-        const auto it = result.cells.find({p, profile.kind});
-        if (it == result.cells.end()) continue;
-        table.add_row({profile.name, fmt_percent(it->second.share_first()),
-                       fmt_percent(it->second.share_no_difference()),
-                       fmt_percent(it->second.share_second()),
-                       fmt_fixed(it->second.avg_replays(), 2)});
-      }
-      std::cout << a << " vs " << b << "\n";
-      table.print(std::cout);
-      std::cout << "\n";
-    }
-    return 0;
-  }
-
-  study::RatingStudyConfig config;
-  config.group = group;
-  config.lab_domains_only = lab_only;
-  config.seed = args.u64("--seed", 7);
-  const auto result = study::run_rating_study(library, config);
-  std::cout << "Rating study, " << study::to_string(group) << ": "
-            << result.funnel.initial << " -> " << result.funnel.final_count()
-            << " participants after filtering\n\n";
-  TextTable table({"Protocol", "Network", "Context", "mean vote ± CI99", "n"});
-  for (const auto& [key, votes] : result.votes_by_cell) {
-    const auto ci = stats::mean_confidence_interval(votes, 0.99);
-    table.add_row({std::get<0>(key), std::string(net::to_string(std::get<1>(key))),
-                   std::string(study::to_string(std::get<2>(key))),
-                   fmt_fixed(ci.center, 1) + " ± " + fmt_fixed(ci.half_width, 1),
-                   std::to_string(votes.size())});
-  }
-  table.print(std::cout);
-  return 0;
-}
-
 // --- qperc study run/report (population-scale streaming studies) ------------
 
 population::StudySpec population_spec_from_args(const Args& args) {
@@ -581,6 +547,21 @@ void print_population_summary(const population::StudySpec& spec,
     table.print(std::cout);
     std::cout << "\n";
   }
+}
+
+/// `qperc study`: one paper-size cohort (Table 3's initial count for the
+/// group and kind) run in memory on the streaming engine.
+int cmd_study(const Args& args) {
+  population::StudySpec spec;
+  spec.kind = kind_arg(args);
+  spec.group = group_arg(args);
+  spec.participants = study::paper_initial_cohort(spec.group, spec.kind);
+  spec.seed = args.u64("--seed", 7);
+  spec.sites = args.u64("--sites", 36);
+  spec.video_runs = runs_arg(args, 31);
+  core::VideoLibrary library(spec.seed, spec.video_runs);
+  print_population_summary(spec, population::run_streaming_study(library, spec).accumulator);
+  return 0;
 }
 
 int cmd_study_run(const Args& args) {
@@ -1169,9 +1150,15 @@ int usage() {
     std::string line = "  " + std::string(command.path);
     const std::size_t indent = line.size();
     for (const Flag& flag : command.flags) {
-      std::string item = " [" + std::string(flag.name);
-      if (!flag.metavar.empty()) item += " " + std::string(flag.metavar);
-      item += "]";
+      // Appended piece by piece: GCC 12's -O3 raises a false -Wrestrict on
+      // `literal + std::string` here (GCC bug 105651).
+      std::string item = " [";
+      item += flag.name;
+      if (!flag.metavar.empty()) {
+        item += ' ';
+        item += flag.metavar;
+      }
+      item += ']';
       if (line.size() + item.size() > 80) {
         std::cerr << line << "\n";
         line.assign(indent, ' ');
