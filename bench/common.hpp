@@ -138,8 +138,8 @@ class CachedLibrary {
 };
 
 /// One of the paper's studies at its Table-3 cohort size over the bench's
-/// sites (5 or fewer means the lab's five domains). Callers set the video
-/// counts their cohort was shown.
+/// sites (the first QPERC_SITES catalog entries, as `bench_sites` takes
+/// them). Callers set the video counts their cohort was shown.
 inline population::StudySpec paper_study(study::StudyKind kind, study::Group group) {
   population::StudySpec spec;
   spec.kind = kind;

@@ -13,8 +13,8 @@ QPERC=${1:?usage: study_e2e.sh /path/to/qperc}
 WORKDIR=$(mktemp -d /tmp/qperc_study_e2e.XXXXXX)
 trap 'rm -rf "$WORKDIR"' EXIT
 
-# A tiny grid: 2 sites x 2 runs keeps stimulus production to a few dozen
-# trials; 2000 participants over 64-participant blocks still crosses many
+# A tiny grid: 2 sites x 5 protocols x 4 networks is 40 conditions, 80
+# trials at 2 runs each; 2000 participants over 64-participant blocks still crosses many
 # block/round boundaries.
 SPEC=(--kind rating --group uworker --participants 2000 --seed 7 --sites 2 --runs 2)
 

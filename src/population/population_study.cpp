@@ -75,7 +75,6 @@ struct EngineContext {
 
 std::vector<std::string> stimulus_sites(const core::VideoLibrary& library,
                                         const StudySpec& spec) {
-  if (spec.sites <= web::lab_study_domains().size()) return web::lab_study_domains();
   std::vector<std::string> names;
   names.reserve(spec.sites);
   for (const auto& site : library.catalog()) {

@@ -49,8 +49,8 @@ struct StudySpec {
   study::Group group = study::Group::kMicroworker;
   std::uint64_t participants = 0;
   std::uint64_t seed = 7;
-  /// Stimulus site budget: <= 5 restricts to the lab's five domains,
-  /// otherwise the first `sites` catalog entries (the paper grid is 36).
+  /// Stimulus site budget: the first `sites` catalog entries (the paper grid
+  /// is 36; the first five are the lab's five domains, in order).
   std::size_t sites = 36;
   /// Trials per cached condition video (the paper records >= 31). Part of
   /// the identity: the CLI builds the VideoLibrary from (seed, video_runs),

@@ -203,7 +203,12 @@ void QuicReceiveSide::fill_ack(QuicPacket& packet) {
   packet.ack_ranges.clear();
   // Newest ranges first, capped at the configured range budget. The emitted
   // frame must be sorted (descending) and non-overlapping — the sender-side
-  // loss detector indexes unacked packets by these ranges.
+  // loss detector indexes unacked packets by these ranges. Sized once up
+  // front: growing 4 -> 8 -> ... -> 256 would leave every outgrown buffer
+  // behind in the trial arena.
+  packet.ack_ranges.reserve(
+      simulator_.arena(),
+      static_cast<std::uint32_t>(std::min<std::size_t>(received_.size(), config_.max_ack_ranges)));
   for (auto it = received_.rbegin();
        it != received_.rend() && packet.ack_ranges.size() < config_.max_ack_ranges; ++it) {
     QPERC_DCHECK_LE(it->first, it->second);

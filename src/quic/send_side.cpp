@@ -12,7 +12,35 @@ namespace {
 constexpr std::uint64_t kPacketReorderThreshold = 3;
 constexpr SimDuration kMaxAckDelay = milliseconds(25);
 
+/// Above every packet number: the walk floor when nothing is unacked.
+constexpr std::uint64_t kNoPacket = ~std::uint64_t{0};
+
 }  // namespace
+
+void QuicSendSide::LostLog::append(Arena& arena, std::uint64_t pn) {
+  QPERC_DCHECK(pns_.empty() || pns_.back() == 0 || pns_.back() < pn)
+      << "losses declared out of packet-number order";
+  if (live_ == 0) front_ = pns_.size();
+  pns_.push_back(arena, pn);
+  ++live_;
+}
+
+template <class OnMatch>
+void QuicSendSide::LostLog::merge_down(std::uint32_t& cursor, std::uint64_t first,
+                                       std::uint64_t last, OnMatch on_match) {
+  // Pass the entries above the range, then the ones inside it; tombstones
+  // (0) pass either way.
+  while (cursor > front_ && (pns_[cursor - 1] > last || pns_[cursor - 1] == 0)) --cursor;
+  const std::uint32_t top = cursor;
+  while (cursor > front_ && (pns_[cursor - 1] >= first || pns_[cursor - 1] == 0)) --cursor;
+  for (std::uint32_t i = cursor; i < top; ++i) {
+    if (pns_[i] == 0) continue;
+    on_match(pns_[i]);
+    pns_[i] = 0;
+    --live_;
+  }
+  while (front_ < pns_.size() && pns_[front_] == 0) ++front_;
+}
 
 QuicSendSide::QuicSendSide(sim::Simulator& simulator, const QuicConfig& config, EmitFn emit)
     : simulator_(simulator),
@@ -31,9 +59,7 @@ QuicSendSide::QuicSendSide(sim::Simulator& simulator, const QuicConfig& config, 
       unacked_(simulator.arena()),
       peer_connection_limit_(config.connection_flow_window_bytes),
       loss_or_pto_timer_(simulator, [this] { on_timer(); }),
-      pto_lost_pns_(ArenaAllocator<std::uint64_t>(simulator.arena())),
-      send_timer_(simulator, [this] { maybe_send(); }),
-      traced_lost_pns_(ArenaAllocator<std::uint64_t>(simulator.arena())) {
+      send_timer_(simulator, [this] { maybe_send(); }) {
   cc_wants_rate_ = cc_->uses_delivery_rate();
 }
 
@@ -267,36 +293,47 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   cc::RateSample best_rate{};
   bool have_rate = false;
 
-  std::uint64_t prev_range_first = 0;
-  bool first_range = true;
+#if QPERC_INVARIANTS_ENABLED
+  // Ranges arrive newest-first: each [first, last] must be well-formed and
+  // sit strictly below the previous range (sorted, non-overlapping). Checked
+  // over every range, also those the walk below never reaches.
+  for (std::uint32_t i = 0; i < packet.ack_ranges.size(); ++i) {
+    const AckRange& range = packet.ack_ranges[i];
+    QPERC_DCHECK_LE(range.first, range.second) << "inverted ACK range";
+    QPERC_DCHECK(i == 0 || range.second < packet.ack_ranges[i - 1].first)
+        << "ACK ranges out of order or overlapping";
+  }
+#endif
+
+  // A range acts only on packet numbers still unacked, still in the PTO set
+  // or, traced, still in the trace set. The receiver never forgets a hole,
+  // so most of a long connection's ranges name packets long settled: walk
+  // newest-first and stop at the first range ending below all three sets.
+  // The sets only shrink during the walk, so the floor stays a lower bound.
+  const bool traced = simulator_.trace() != nullptr;
+  const std::uint64_t oldest_unacked =
+      unacked_.empty() ? kNoPacket : unacked_.begin()->first;
+  std::uint64_t floor = oldest_unacked;
+  if (!pto_lost_.empty()) floor = std::min(floor, pto_lost_.oldest());
+  if (traced && !traced_lost_.empty()) floor = std::min(floor, traced_lost_.oldest());
+  std::uint32_t pto_cursor = pto_lost_.merge_start();
+  std::uint32_t traced_cursor = traced_lost_.merge_start();
+
   bool spurious_pto = false;
   for (const auto& [first, last] : packet.ack_ranges) {
-    // Ranges arrive newest-first: each [first, last] must be well-formed and
-    // sit strictly below the previous range (sorted, non-overlapping).
-    QPERC_DCHECK_LE(first, last) << "inverted ACK range";
-    QPERC_DCHECK(first_range || last < prev_range_first)
-        << "ACK ranges out of order or overlapping";
-    prev_range_first = first;
-    first_range = false;
-    if (!pto_lost_pns_.empty()) {
-      // An acked packet the PTO path declared lost: the probe timeout was
-      // spurious (monotone packet numbers make this unambiguous — the range
-      // can only name the original transmission).
-      auto pto_it = pto_lost_pns_.lower_bound(first);
-      while (pto_it != pto_lost_pns_.end() && *pto_it <= last) {
-        spurious_pto = true;
-        pto_it = pto_lost_pns_.erase(pto_it);
-      }
-    }
-    if (simulator_.trace() != nullptr && !traced_lost_pns_.empty()) {
+    if (last < floor) break;
+    // An acked packet the PTO path declared lost: the probe timeout was
+    // spurious (monotone packet numbers make this unambiguous — the range
+    // can only name the original transmission).
+    pto_lost_.merge_down(pto_cursor, first, last, [&](std::uint64_t) { spurious_pto = true; });
+    if (traced) {
       // A packet we declared lost turns out to have been received.
-      auto lost_it = traced_lost_pns_.lower_bound(first);
-      while (lost_it != traced_lost_pns_.end() && *lost_it <= last) {
+      traced_lost_.merge_down(traced_cursor, first, last, [&](std::uint64_t pn) {
         simulator_.trace_event(trace::EventType::kSpuriousLoss, trace_endpoint_, trace_flow_,
-                               *lost_it);
-        lost_it = traced_lost_pns_.erase(lost_it);
-      }
+                               pn);
+      });
     }
+    if (last < oldest_unacked) continue;
     auto it = unacked_.lower_bound(first);
     while (it != unacked_.end() && it->first <= last) {
       const std::uint64_t pn = it->first;
@@ -423,7 +460,7 @@ void QuicSendSide::detect_losses(SimTime now) {
       requeue_lost(up);
       largest_lost = pn;
       if (simulator_.trace() != nullptr) {
-        traced_lost_pns_.insert(pn);
+        traced_lost_.append(simulator_.arena(), pn);
         simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
                                pn, up.payload_bytes, /*value=*/0);
       }
@@ -496,9 +533,9 @@ void QuicSendSide::on_timer() {
     bytes_in_flight_ -= up.payload_bytes;
     sampler_.on_packet_lost(it->first);
     bytes_lost_since_ack_ += up.stream_bytes;
-    pto_lost_pns_.insert(it->first);
+    pto_lost_.append(simulator_.arena(), it->first);
     if (simulator_.trace() != nullptr) {
-      traced_lost_pns_.insert(it->first);
+      traced_lost_.append(simulator_.arena(), it->first);
       simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
                              it->first, up.payload_bytes, /*value=*/1);
     }

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "cc/bandwidth_sampler.hpp"
@@ -48,7 +47,10 @@ class QuicSendSide {
 
   /// Processes an ACK frame (ranges of received packet numbers). Follow it
   /// with on_window_updates for the same packet: only that call may arm
-  /// the BLOCKED probe.
+  /// the BLOCKED probe. The range walk stops at the first range below every
+  /// packet number the frame can still act on (unacked, PTO-lost, or traced
+  /// lost), so its cost follows what the frame changes, not the up to 256
+  /// ranges it repeats.
   void on_ack_frame(const QuicPacket& packet);
   /// Processes MAX_DATA / MAX_STREAM_DATA credit from the peer.
   void on_window_updates(const QuicPacket& packet);
@@ -79,6 +81,34 @@ class QuicSendSide {
     explicit SendStream(std::uint64_t limit) : peer_limit(limit) {}
   };
 
+  /// Packet numbers declared lost, oldest first, as a flat arena array.
+  /// Loss is only ever declared on the oldest unacked packets (packet and
+  /// time thresholds both grow with age, and a PTO takes the oldest), so
+  /// numbers arrive in increasing order and the log stays sorted. An ACK
+  /// that covers an entry tombstones it (0 is never a packet number).
+  class LostLog {
+   public:
+    void append(Arena& arena, std::uint64_t pn);
+    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+    /// Oldest live entry. Requires a non-empty log.
+    [[nodiscard]] std::uint64_t oldest() const noexcept { return pns_[front_]; }
+    /// Initial merge_down cursor; entries at or past a cursor are passed.
+    [[nodiscard]] std::uint32_t merge_start() const noexcept { return pns_.size(); }
+    /// One step of a downward merge with an ACK frame's ranges: hands the
+    /// live entries inside [first, last] to `on_match` in ascending order
+    /// and tombstones them. Fed the frame's ranges newest-first, starting
+    /// from merge_start(), the cursor only moves down, so a whole frame costs
+    /// O(ranges + entries between its top and its floor).
+    template <class OnMatch>
+    void merge_down(std::uint32_t& cursor, std::uint64_t first, std::uint64_t last,
+                    OnMatch on_match);
+
+   private:
+    ArenaVec<std::uint64_t> pns_;
+    std::uint32_t front_ = 0;  // first live entry (== pns_.size() when empty)
+    std::uint32_t live_ = 0;
+  };
+
   struct UnackedPacket {
     SimTime sent_time{0};
     std::uint32_t payload_bytes = 0;  // counted against the window
@@ -106,6 +136,10 @@ class QuicSendSide {
   [[nodiscard]] ArenaVec<StreamFrame> build_frames(std::uint32_t budget,
                                                    bool& is_retransmission);
   void transmit(ArenaVec<StreamFrame> frames, bool is_retransmission);
+  /// Declares lost the unacked packets below largest_acked_ that pass the
+  /// packet or time threshold. Both thresholds grow with age, so the lost
+  /// packets are always a prefix of unacked_ and at most two packets below
+  /// largest_acked_ survive a call: the scan is O(newly lost).
   void detect_losses(SimTime now);
   void requeue_lost(UnackedPacket& packet);
   void enter_recovery_if_needed(std::uint64_t lost_pn);
@@ -148,6 +182,8 @@ class QuicSendSide {
 
   std::uint64_t next_packet_number_ = 1;
   std::uint64_t largest_acked_ = 0;
+  /// Sent, ack-eliciting, neither acked nor declared lost. Entries retire
+  /// from the front (acks, losses), so begin() is the oldest unacked packet.
   FlatMap<std::uint64_t, UnackedPacket> unacked_;
   std::uint64_t bytes_in_flight_ = 0;
 
@@ -169,9 +205,8 @@ class QuicSendSide {
   /// one proves the probe timeout spurious (the original packet arrived, the
   /// link was merely slow): reset the backoff and undo the controller's
   /// timeout reaction instead of escalating into a retransmission storm.
-  /// Always-on (unlike traced_lost_pns_) because it changes behaviour.
-  std::set<std::uint64_t, std::less<std::uint64_t>, ArenaAllocator<std::uint64_t>>
-      pto_lost_pns_;
+  /// Always-on (unlike traced_lost_) because it changes behaviour.
+  LostLog pto_lost_;
 
   sim::Timer send_timer_;
 
@@ -184,8 +219,7 @@ class QuicSendSide {
   // untraced runs are bit-identical).
   std::uint64_t trace_flow_ = 0;
   trace::Endpoint trace_endpoint_ = trace::Endpoint::kNone;
-  std::set<std::uint64_t, std::less<std::uint64_t>, ArenaAllocator<std::uint64_t>>
-      traced_lost_pns_;  // declared lost; ack later = spurious
+  LostLog traced_lost_;  // declared lost; ack later = spurious
 };
 
 }  // namespace qperc::quic

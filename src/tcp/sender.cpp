@@ -66,10 +66,85 @@ void TcpSender::restart_from_idle_if_needed() {
 }
 
 TcpSender::SegmentRecord* TcpSender::next_lost_segment() {
-  for (auto& [start, record] : segments_) {
-    if (record.lost && !record.sacked) return &record;
+  if (lost_count_ == 0) return nullptr;
+  for (auto it = segments_.lower_bound(lost_scan_from_); it != segments_.end(); ++it) {
+    if (it->second.lost && !it->second.sacked) {
+      lost_scan_from_ = it->first;
+      return &it->second;
+    }
   }
+  QPERC_CHECK(false) << "lost-segment count says " << lost_count_
+                     << " but none is left to retransmit";
   return nullptr;
+}
+
+void TcpSender::sent_list_append(SegmentRecord& record) {
+  QPERC_DCHECK(sent_tail_ == nullptr || sent_tail_->last_sent <= record.last_sent)
+      << "sent list out of send-time order";
+  record.sent_prev = sent_tail_;
+  record.sent_next = nullptr;
+  (sent_tail_ != nullptr ? sent_tail_->sent_next : sent_head_) = &record;
+  sent_tail_ = &record;
+}
+
+void TcpSender::sent_list_unlink(SegmentRecord& record) {
+  (record.sent_prev != nullptr ? record.sent_prev->sent_next : sent_head_) = record.sent_next;
+  (record.sent_next != nullptr ? record.sent_next->sent_prev : sent_tail_) = record.sent_prev;
+  record.sent_prev = nullptr;
+  record.sent_next = nullptr;
+}
+
+void TcpSender::leave_recovery_state(SegmentRecord& record) {
+  if (record.sacked) return;
+  if (record.lost) {
+    QPERC_DCHECK_GT(lost_count_, 0u);
+    --lost_count_;
+  } else if (record.outstanding) {
+    sent_list_unlink(record);
+  }
+}
+
+void TcpSender::mark_lost(SegmentRecord& record, bool by_rto) {
+  QPERC_DCHECK(!record.sacked && !record.lost) << "segment marked lost twice";
+  const auto len = record.end - record.start;
+  record.lost = true;
+  record.lost_by_rto = by_rto;
+  if (record.outstanding) {
+    sent_list_unlink(record);
+    record.outstanding = false;
+    QPERC_DCHECK_GE(outstanding_bytes_, len);
+    outstanding_bytes_ -= len;
+  }
+  ++lost_count_;
+  lost_scan_from_ = std::min(lost_scan_from_, record.start);
+  sampler_.on_packet_lost(record.packet_id);
+  bytes_lost_since_ack_ += len;
+}
+
+void TcpSender::check_recovery_state() const {
+#if QPERC_INVARIANTS_ENABLED
+  std::size_t lost = 0;
+  std::size_t in_flight = 0;
+  for (const auto& [start, record] : segments_) {
+    if (record.lost && !record.sacked) {
+      ++lost;
+      QPERC_DCHECK_GE(start, lost_scan_from_) << "lost segment below the scan cursor";
+    }
+    if (record.outstanding && !record.sacked && !record.lost) ++in_flight;
+  }
+  QPERC_DCHECK_EQ(lost, lost_count_) << "lost-segment count differs from a full recount";
+  std::size_t linked = 0;
+  for (const SegmentRecord* record = sent_head_; record != nullptr;
+       record = record->sent_next) {
+    ++linked;
+    QPERC_DCHECK(record->outstanding && !record->sacked && !record->lost)
+        << "sent list holds a segment that is not in flight";
+    QPERC_DCHECK(record->sent_next == nullptr ||
+                 record->last_sent <= record->sent_next->last_sent)
+        << "sent list out of send-time order";
+  }
+  QPERC_DCHECK_EQ(linked, in_flight) << "sent list misses a segment in flight";
+#endif
 }
 
 void TcpSender::maybe_send() {
@@ -121,8 +196,10 @@ void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
   const SimTime now = simulator_.now();
   QPERC_DCHECK_LT(record.start, record.end) << "empty TCP segment packetized";
   QPERC_DCHECK_GE(now, last_send_time_) << "send timestamps must be monotone";
+  QPERC_DCHECK(!record.sacked) << "transmitting a SACKed segment";
   const auto len = record.end - record.start;
 
+  leave_recovery_state(record);
   record.transmissions += 1;
   record.last_sent = now;
   record.packet_id = next_packet_id_++;
@@ -132,6 +209,7 @@ void TcpSender::transmit(SegmentRecord& record, bool is_retransmission) {
     record.outstanding = true;
     outstanding_bytes_ += len;
   }
+  sent_list_append(record);
 
   sampler_.on_packet_sent(record.packet_id, len, now, outstanding_bytes_ - len);
   cc_->on_packet_sent(now, outstanding_bytes_ - len, len);
@@ -239,6 +317,7 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
   if (cum_advanced) {
     auto it = segments_.begin();
     while (it != segments_.end() && it->second.end <= segment.cumulative_ack) {
+      leave_recovery_state(it->second);
       mark_delivered(it->second, now, newly_delivered, rtt_sample, newest_sent_time,
                      newest_packet_id);
       consider_rate_sample(it->second.packet_id);
@@ -255,6 +334,7 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
          it != segments_.end() && it->second.end <= block.end; ++it) {
       SegmentRecord& record = it->second;
       if (record.sacked) continue;
+      leave_recovery_state(record);
       record.sacked = true;
       mark_delivered(record, now, newly_delivered, rtt_sample, newest_sent_time,
                      newest_packet_id);
@@ -307,6 +387,7 @@ void TcpSender::on_ack_received(const TcpSegment& segment) {
   }
 
   rearm_retransmission_timer();
+  check_recovery_state();
 
   if (cum_advanced && on_writable_ && writable_bytes() > 0) on_writable_();
   maybe_send();
@@ -318,14 +399,32 @@ void TcpSender::undo_spurious_rto() {
   // sender keeps waiting for their original ACKs instead of blasting a
   // go-back-N retransmission storm into an already-slow link, and undo the
   // window collapse (the path did not actually lose anything).
+  scratch_.clear();
   for (auto& [start, record] : segments_) {
     if (!record.lost || !record.lost_by_rto || record.sacked) continue;
     record.lost = false;
     record.lost_by_rto = false;
+    --lost_count_;
     if (!record.outstanding) {
       record.outstanding = true;
       outstanding_bytes_ += record.end - record.start;
     }
+    scratch_.push_back(simulator_.arena(), &record);
+  }
+  // Back in flight: merge them into the sent list by send time (ties keep
+  // sequence order; RACK treats equal send times alike).
+  std::sort(scratch_.begin(), scratch_.end(),
+            [](const SegmentRecord* a, const SegmentRecord* b) {
+              return a->last_sent != b->last_sent ? a->last_sent < b->last_sent
+                                                  : a->start < b->start;
+            });
+  SegmentRecord* next = sent_head_;
+  for (SegmentRecord* record : scratch_) {
+    while (next != nullptr && next->last_sent <= record->last_sent) next = next->sent_next;
+    record->sent_next = next;
+    record->sent_prev = next != nullptr ? next->sent_prev : sent_tail_;
+    (record->sent_prev != nullptr ? record->sent_prev->sent_next : sent_head_) = record;
+    (next != nullptr ? next->sent_prev : sent_tail_) = record;
   }
   rto_backoff_ = 0;
   ++stats_.spurious_timeouts;
@@ -340,22 +439,25 @@ void TcpSender::detect_losses(SimTime newest_delivered_sent_time) {
   const SimDuration reorder_window =
       rtt_.has_sample() ? std::max<SimDuration>(rtt_.min_rtt() / 4, milliseconds(1))
                         : SimDuration{milliseconds(5)};
+  // The sent list holds exactly the segments RACK may mark (in flight) in
+  // send-time order: every segment after the first one inside the window is
+  // inside it too.
+  const bool traced = simulator_.trace() != nullptr;
+  if (traced) scratch_.clear();
   bool any_lost = false;
-  for (auto& [start, record] : segments_) {
-    if (record.sacked || record.lost || !record.outstanding) continue;
-    if (record.last_sent + reorder_window < newest_delivered_sent_time) {
-      record.lost = true;
-      record.lost_by_rto = false;
-      record.outstanding = false;
-      QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);
-      outstanding_bytes_ -= record.end - record.start;
-      sampler_.on_packet_lost(record.packet_id);
-      bytes_lost_since_ack_ += record.end - record.start;
-      any_lost = true;
-      if (simulator_.trace() != nullptr) {
-        simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
-                               record.start, record.end - record.start, /*value=*/0);
-      }
+  while (sent_head_ != nullptr &&
+         sent_head_->last_sent + reorder_window < newest_delivered_sent_time) {
+    SegmentRecord& record = *sent_head_;
+    mark_lost(record, /*by_rto=*/false);
+    any_lost = true;
+    if (traced) scratch_.push_back(simulator_.arena(), &record);
+  }
+  if (traced) {
+    std::sort(scratch_.begin(), scratch_.end(),
+              [](const SegmentRecord* a, const SegmentRecord* b) { return a->start < b->start; });
+    for (const SegmentRecord* record : scratch_) {
+      simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
+                             record->start, record->end - record->start, /*value=*/0);
     }
   }
   if (any_lost) enter_recovery_if_needed();
@@ -375,7 +477,7 @@ void TcpSender::enter_recovery_if_needed() {
 
 void TcpSender::rearm_retransmission_timer() {
   const bool has_outstanding = outstanding_bytes_ > 0;
-  const bool has_lost = next_lost_segment() != nullptr;
+  const bool has_lost = lost_count_ > 0;
   if (!has_outstanding && !has_lost) {
     retx_timer_.cancel();
     return;
@@ -421,15 +523,7 @@ void TcpSender::on_retransmission_timer() {
                          /*id=*/0, /*bytes=*/0, rto_backoff_);
   for (auto& [start, record] : segments_) {
     if (record.sacked || record.lost) continue;
-    record.lost = true;
-    record.lost_by_rto = true;
-    if (record.outstanding) {
-      record.outstanding = false;
-      QPERC_DCHECK_GE(outstanding_bytes_, record.end - record.start);
-      outstanding_bytes_ -= record.end - record.start;
-    }
-    sampler_.on_packet_lost(record.packet_id);
-    bytes_lost_since_ack_ += record.end - record.start;
+    mark_lost(record, /*by_rto=*/true);
     if (simulator_.trace() != nullptr) {
       simulator_.trace_event(trace::EventType::kPacketLost, trace_endpoint_, trace_flow_,
                              record.start, record.end - record.start, /*value=*/1);
@@ -440,6 +534,7 @@ void TcpSender::on_retransmission_timer() {
   pacer_.set_rate(simulator_.now(), cc_->pacing_rate(rtt_.smoothed_rtt()));
   maybe_send();
   rearm_retransmission_timer();
+  check_recovery_state();
 }
 
 }  // namespace qperc::tcp

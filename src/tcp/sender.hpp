@@ -4,6 +4,11 @@
 // detection, tail-loss probes, RFC 6298 RTO with exponential backoff,
 // pluggable congestion control (Cubic / BBRv1), optional fq-style pacing,
 // and optional slow-start-after-idle — every knob Table 1 varies.
+//
+// Per-ACK recovery work is bounded by what the ACK changes: RACK walks a
+// time-ordered list of the segments in flight and stops at the first one
+// still inside the reorder window, and a count of segments awaiting
+// retransmission answers "anything to retransmit?" without a scan.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +85,27 @@ class TcpSender {
     bool lost_by_rto = false;  // `lost` came from an RTO, not RACK/SACK
     bool outstanding = false;  // counted in the pipe
     bool delivered_counted = false;
+    /// Links of the time-ordered sent list (RFC 8985 §6.1), which holds
+    /// exactly the segments in flight: outstanding, neither SACKed nor lost.
+    SegmentRecord* sent_prev = nullptr;
+    SegmentRecord* sent_next = nullptr;
   };
 
   void maybe_send();
   void transmit(SegmentRecord& record, bool is_retransmission);
-  /// Finds the next segment to (re)transmit; nullptr when nothing is eligible.
+  /// The lowest-sequence segment awaiting retransmission (lost, not SACKed);
+  /// nullptr when there is none.
   SegmentRecord* next_lost_segment();
+  void sent_list_append(SegmentRecord& record);
+  void sent_list_unlink(SegmentRecord& record);
+  /// Takes a segment out of the loss-recovery bookkeeping (the sent list or
+  /// the lost count) before it is SACKed or cumulatively acknowledged.
+  void leave_recovery_state(SegmentRecord& record);
+  /// Marks a segment that is neither SACKed nor lost as lost.
+  void mark_lost(SegmentRecord& record, bool by_rto);
+  /// Recounts the lost segments and re-walks the sent list (invariant
+  /// builds only).
+  void check_recovery_state() const;
   void mark_delivered(SegmentRecord& record, SimTime now, std::uint64_t& newly_delivered,
                       SimDuration& rtt_sample, SimTime& newest_delivered_sent_time,
                       std::uint64_t& newest_delivered_packet_id);
@@ -124,10 +144,25 @@ class TcpSender {
   std::uint64_t outstanding_bytes_ = 0;  // the SACK "pipe"
   /// Keyed by start seq. Nodes come from the trial arena: insert/erase churn
   /// during recovery never touches the heap (ordering and iteration are those
-  /// of a plain std::map, so results are unchanged).
+  /// of a plain std::map, so results are unchanged). Nodes never move, so the
+  /// sent list links records in place.
   std::map<std::uint64_t, SegmentRecord, std::less<std::uint64_t>,
            ArenaAllocator<std::pair<const std::uint64_t, SegmentRecord>>>
       segments_;
+  /// Oldest and newest transmission still in flight. Send times never
+  /// decrease along the list, so RACK's walk from the head may stop at the
+  /// first segment inside the reorder window.
+  SegmentRecord* sent_head_ = nullptr;
+  SegmentRecord* sent_tail_ = nullptr;
+  /// Segments marked lost and not SACKed: the retransmission backlog.
+  std::size_t lost_count_ = 0;
+  /// No lost, un-SACKed segment starts below this sequence number, so the
+  /// search for the next retransmission never rescans from the front.
+  std::uint64_t lost_scan_from_ = 0;
+  /// Reused scratch for the two passes that reorder records: traced RACK
+  /// finds losses in send-time order but emits them in sequence order, and
+  /// the RTO undo merges its segments back into the sent list by send time.
+  ArenaVec<SegmentRecord*> scratch_;
 
   std::uint64_t next_packet_id_ = 1;
   SimTime last_send_time_{0};

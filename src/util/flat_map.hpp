@@ -194,10 +194,9 @@ class FlatMap {
     return const_iterator(slots_.data() + pos, slots_.data() + slots_.size());
   }
 
-  /// Index of the first slot (live or dead) with key >= `key`. Keys stay
-  /// sorted across tombstoning, so the search spans all slots.
-  [[nodiscard]] std::size_t lower_bound_index_raw(Key key) const noexcept {
-    std::size_t lo = 0;
+  /// Index of the first slot (live or dead) at or after `lo` with key >=
+  /// `key`. Keys stay sorted across tombstoning, so any suffix is sorted.
+  [[nodiscard]] std::size_t lower_bound_index_raw(Key key, std::size_t lo = 0) const noexcept {
     std::size_t hi = slots_.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
@@ -211,8 +210,10 @@ class FlatMap {
   }
 
   [[nodiscard]] std::size_t lower_bound_index(Key key) const noexcept {
-    // Everything before the first-live cursor is dead; skip it wholesale.
-    return std::max(lower_bound_index_raw(key), first_live_);
+    // Everything before the first-live cursor is dead: search only the live
+    // suffix. Tables that retire their front (unacked packets, in-flight
+    // samples) never compact, so the dead prefix is most of the array.
+    return lower_bound_index_raw(key, first_live_);
   }
 
   void mark_live(std::size_t pos) noexcept {

@@ -1,11 +1,15 @@
 // White-box tests of the QUIC sender's loss detection and probe timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "quic/receive_side.hpp"
 #include "quic/send_side.hpp"
 #include "sim/simulator.hpp"
+#include "trace/memory_sink.hpp"
+#include "util/check.hpp"
 
 namespace qperc::quic {
 namespace {
@@ -136,6 +140,120 @@ TEST(QuicSendSide, AckOfRetransmittedDataIsNotSpurious) {
   const std::uint64_t largest = harness.sent.back().packet_number;
   harness.ack({{first_retx, largest}});
   EXPECT_EQ(harness.sender.stats().spurious_timeouts, 0u);
+}
+
+// The ACK-range walk stops at the first range below every packet number an
+// ACK can still act on. A PTO-declared loss is one of those even when it
+// sits below every unacked packet.
+TEST(QuicSendSide, LateAckBelowEveryUnackedPacketStillProvesPtoSpurious) {
+  SenderHarness harness;
+  harness.sender.on_established(milliseconds(50));
+  harness.sender.write_stream(5, 20'000, true, 1);
+  harness.simulator.run_until(SimTime(milliseconds(100)));
+  const std::size_t initial = harness.packets_sent();
+  ASSERT_GE(initial, 5u);
+  // Unanswered probe timeouts declare the oldest packets, pn 1 first, lost.
+  harness.simulator.run_until(SimTime(seconds(3)));
+  ASSERT_GE(harness.sender.stats().timeouts, 1u);
+  const std::uint64_t newest = harness.sent[initial - 1].packet_number;
+  // Acking only the newest original packet settles the rest of the flight
+  // (lost by time), so everything still unacked is a retransmission above it.
+  harness.ack({{newest, newest}});
+  ASSERT_EQ(harness.sender.stats().spurious_timeouts, 0u);
+  // The late ACK's only range naming a PTO loss lies below all of them.
+  harness.ack({{newest, newest}, {1, 1}});
+  EXPECT_EQ(harness.sender.stats().spurious_timeouts, 1u);
+}
+
+// Traced runs walk further: a range may also prove a packet-threshold or
+// time-threshold loss spurious, below every unacked and PTO-lost packet.
+TEST(QuicSendSide, TracedWalkReportsSpuriousLossesBelowEveryUnackedPacket) {
+  SenderHarness harness;
+  trace::MemorySink sink;
+  harness.simulator.set_trace(&sink);
+  harness.sender.on_established(milliseconds(50));
+  harness.sender.write_stream(5, 20'000, true, 1);
+  harness.simulator.run_until(SimTime(milliseconds(100)));
+  const std::size_t initial = harness.packets_sent();
+  ASSERT_GE(initial, 5u);
+  harness.simulator.run_until(SimTime(seconds(3)));
+  // The PTO declares the oldest unacked packet lost each time: pn 1..k.
+  std::uint64_t last_pto_lost = 0;
+  for (const auto& event : sink.of_type(trace::EventType::kPacketLost)) {
+    if (event.value == 1) last_pto_lost = std::max(last_pto_lost, event.id);
+  }
+  const std::uint64_t newest = harness.sent[initial - 1].packet_number;
+  ASSERT_GE(last_pto_lost, 1u);
+  ASSERT_LT(last_pto_lost + 1, newest);
+
+  harness.ack({{newest, newest}});  // pn k+1 .. newest-1 lost by time
+  harness.ack({{newest, newest}, {1, last_pto_lost}});  // empties the PTO set
+  EXPECT_EQ(harness.sender.stats().spurious_timeouts, 1u);
+  sink.clear();
+  // pn k+1 sits below every unacked packet and the PTO set is empty: only the
+  // trace set keeps the walk going down to it.
+  harness.ack({{newest, newest}, {last_pto_lost + 1, last_pto_lost + 1}});
+  const auto spurious = sink.of_type(trace::EventType::kSpuriousLoss);
+  ASSERT_EQ(spurious.size(), 1u);
+  EXPECT_EQ(spurious[0].id, last_pto_lost + 1);
+  harness.simulator.set_trace(nullptr);
+}
+
+TEST(QuicSendSide, StaleRangesBelowTheFloorChangeNothing) {
+  SenderHarness harness;
+  harness.sender.on_established(milliseconds(50));
+  // Burn packet numbers 1..600 on control packets, then put data in flight:
+  // every unacked packet number is above 600.
+  for (int i = 0; i < 600; ++i) (void)harness.sender.make_control_packet();
+  harness.sender.write_stream(5, 20'000, true, 1);
+  harness.simulator.run_until(SimTime(milliseconds(20)));
+  ASSERT_GT(harness.packets_sent(), 0u);
+  ASSERT_GT(harness.sent.front().packet_number, 600u);
+  const net::TransportStats stats = harness.sender.stats();
+  const std::uint64_t in_flight = harness.sender.bytes_in_flight();
+  const std::size_t sent = harness.packets_sent();
+
+  // 256 one-packet ranges, newest first, all below the oldest unacked packet.
+  QuicPacket stale;
+  stale.has_ack = true;
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    const std::uint64_t pn = 511 - 2 * i;
+    stale.ack_ranges.emplace_back(harness.simulator.arena(), pn, pn);
+  }
+  ASSERT_EQ(stale.ack_ranges.size(), 256u);
+  harness.sender.on_ack_frame(stale);
+  EXPECT_EQ(harness.sender.stats(), stats);
+  EXPECT_EQ(harness.sender.bytes_in_flight(), in_flight);
+  EXPECT_EQ(harness.packets_sent(), sent);
+}
+
+#if QPERC_INVARIANTS_ENABLED
+int g_range_violations = 0;
+std::string g_range_message;
+#endif
+
+TEST(QuicSendSide, InvariantsCheckRangesPastTheWalkFloor) {
+#if QPERC_INVARIANTS_ENABLED
+  const auto previous = check::set_violation_handler(
+      [](const char*, int, const char*, const std::string& message) {
+        ++g_range_violations;
+        g_range_message = message;
+      });
+  SenderHarness harness;
+  harness.sender.on_established(milliseconds(50));
+  for (int i = 0; i < 20; ++i) (void)harness.sender.make_control_packet();
+  harness.sender.write_stream(5, 20'000, true, 1);
+  harness.simulator.run_until(SimTime(milliseconds(20)));
+  const std::uint64_t newest = harness.sent.back().packet_number;
+  // The walk stops at [5, 5] (below every unacked packet); the overlapping
+  // range after it must still be reported.
+  harness.ack({{newest, newest}, {5, 5}, {4, 6}});
+  check::set_violation_handler(previous);
+  EXPECT_EQ(g_range_violations, 1);
+  EXPECT_NE(g_range_message.find("out of order or overlapping"), std::string::npos);
+#else
+  GTEST_SKIP() << "QPERC_DCHECK is compiled out of this build";
+#endif
 }
 
 TEST(QuicSendSide, OneCongestionEventPerLossEpisode) {

@@ -1,12 +1,14 @@
 // TCP stack tests: handshake cost, reliability under loss, Table-1 knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
 #include "net/impairments.hpp"
 #include "tcp/sender.hpp"
 #include "tests/transport_test_util.hpp"
+#include "trace/memory_sink.hpp"
 
 namespace qperc::tcp {
 namespace {
@@ -374,6 +376,57 @@ TEST(TcpImpairment, AckDelaySpikeIsDetectedAsSpuriousRto) {
   const net::TransportStats stats = harness.connection->stats();
   EXPECT_GE(stats.timeouts, 1u);
   EXPECT_GE(stats.spurious_timeouts, 1u);
+}
+
+// RACK finds losses in send-time order; the trace reports them in sequence
+// order. Here one ACK makes RACK declare lost a retransmission of segment 1
+// (sent at 60 ms) together with segments sent earlier but higher in
+// sequence space (segment 11 at 50 ms).
+TEST(TcpRack, LossesInOneAckAreTracedInSequenceOrder) {
+  sim::Simulator simulator;
+  trace::MemorySink sink;
+  simulator.set_trace(&sink);
+  TcpConfig config;
+  config.mss = 1000;
+  std::vector<std::pair<SimTime, std::uint64_t>> sent;  // (time, seq)
+  TcpSender sender(simulator, config, 1'000'000, [&](TcpSegment segment) {
+    sent.emplace_back(simulator.now(), segment.seq);
+  });
+  const auto ack = [&](std::uint64_t cumulative,
+                       std::initializer_list<SackBlock> blocks) {
+    TcpSegment segment;
+    segment.has_ack = true;
+    segment.cumulative_ack = cumulative;
+    segment.receive_window_bytes = 1'000'000;
+    for (const SackBlock& block : blocks) segment.sack_blocks[segment.sack_count++] = block;
+    sender.on_ack_received(segment);
+  };
+  sender.on_established(1'000'000, milliseconds(100));
+  sender.write(100'000);  // segments 0..9 leave at 0 ms
+  simulator.run_until(SimTime{milliseconds(50)});
+  ack(1000, {});  // segments 10 and 11 leave at 50 ms
+  simulator.run_until(SimTime{milliseconds(60)});
+  // Segments 2..10 arrive: segment 1 (sent at 0 ms) is lost by time and is
+  // retransmitted at 60 ms, ahead of the new segments 12.. sent with it.
+  ack(1000, {{2000, 11'000}});
+  ASSERT_EQ(sender.stats().retransmissions, 1u);
+  // The tail-loss probe re-sends the highest segment later still.
+  while (sender.stats().tail_probes == 0) {
+    simulator.run_until(simulator.now() + milliseconds(1));
+  }
+  const auto [probe_time, probe_seq] = sent.back();
+  ASSERT_GT(probe_time, SimTime{milliseconds(80)});
+  sink.clear();
+  // Delivering the probe makes RACK declare everything sent at 50 and 60 ms
+  // lost in one pass: segment 11, the retransmitted segment 1, 12, 13, ...
+  ack(1000, {{2000, 11'000}, {probe_seq, probe_seq + 1000}});
+  std::vector<std::uint64_t> lost;
+  for (const auto& event : sink.of_type(trace::EventType::kPacketLost)) lost.push_back(event.id);
+  ASSERT_GE(lost.size(), 3u);
+  EXPECT_EQ(lost.front(), 1000u);
+  EXPECT_EQ(lost[1], 11'000u);
+  EXPECT_TRUE(std::is_sorted(lost.begin(), lost.end()));
+  simulator.set_trace(nullptr);
 }
 
 }  // namespace
