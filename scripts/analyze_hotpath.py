@@ -17,7 +17,7 @@ the declared hot-path roots:
     qperc::core::TrialContext::run            (the per-trial entry point)
     qperc::sim::Simulator::run / run_until    (the event loop)
     (anonymous namespace)::simulate_one<DropVotes>  (population-study inner loop)
-    (anonymous namespace)::run_cell           (fairness-grid inner loop)
+    qperc::runner::(anonymous namespace)::run_cell  (fairness-grid inner loop)
 
 Call-graph construction (see ARCHITECTURE.md "Static analysis"):
   * direct edges: every relocation out of a `.text.*` section, attributed to
@@ -173,7 +173,7 @@ DEFAULT_ROOTS = [
     # The streaming instantiation only: simulate_one<KeepVotes> serves
     # paper-size cohorts that keep every vote, and is not a hot root.
     ("study-participant", r"\(anonymous namespace\)::simulate_one<[^>]*DropVotes>\("),
-    ("fairness-cell", r"\(anonymous namespace\)::run_cell\("),
+    ("fairness-cell", r"^qperc::runner::\(anonymous namespace\)::run_cell\("),
 ]
 
 # Sections whose symbols are traversal barriers: GCC places

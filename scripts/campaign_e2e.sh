@@ -92,6 +92,13 @@ for runs in 0 4294967296; do
   expect_usage_error campaign run --runs "$runs" --out "$WORKDIR/bad"
   expect_usage_error video --runs "$runs"
 done
+# A repeated grid value would run one condition twice and store it once,
+# leaving status at "completed: 1 / 2" forever.
+expect_usage_error campaign run --sites 1 --runs 1 --protocols TCP,TCP --networks DSL \
+  --out "$WORKDIR/bad"
+expect_usage_error campaign run --sites 1 --runs 1 --protocols TCP --networks DSL,LTE,DSL \
+  --out "$WORKDIR/bad"
+expect_usage_error campaign status --sites 1 --runs 1 --protocols QUIC,QUIC --out "$WORKDIR/ref"
 # Campaign trials run untraced, so there is no --no-counters; status/export
 # merge every shard file, so they take no --shard.
 expect_usage_error campaign run "${GRID[@]}" --no-counters --out "$WORKDIR/bad"

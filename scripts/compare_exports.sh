@@ -1,17 +1,24 @@
 #!/usr/bin/env bash
-# Cross-commit export check: builds qperc at REV and from the working tree
-# (both Release, in a temporary directory), runs the full paper grid
-# (720 conditions) as a campaign with each, and byte-compares the two
-# `campaign export` outputs. A change that claims to be bit-exact must pass.
+# Cross-commit check of every grid store: builds qperc at REV and from the
+# working tree (both Release, in a temporary directory) and runs the same
+# grids with each:
+#   * the full paper grid (720 conditions) as a campaign, then `campaign
+#     export` and `campaign status`;
+#   * a sharded fairness grid (2 sites x TCP,QUIC x DSL,LTE x flows 0,4 x
+#     mixed, 2 runs) as --shard 0/2 and 1/2, then `--report --export`.
+# It byte-compares the .qcr/.qfr stores, the exports, the status and report
+# text and the commands' stderr (elapsed seconds masked), then checks that
+# the working tree resumes REV's stores with nothing left to run. A change
+# that claims to be bit-exact must pass.
 #
 #   scripts/compare_exports.sh REV [--runs N] [--seed K] [--jobs J]
 #
-# Defaults: --runs 31 --seed 7 --jobs 4. Prints each side's campaign wall
-# and CPU seconds, then "exports identical" (exit 0) or the first
-# differing line (exit 1). REV is any git revision of this repository; it
-# is exported with `git archive`, so the repository's own state and worktree
-# list are never touched. Needs a parent revision, so it is not a ci_gate
-# stage.
+# Defaults: --runs 31 --seed 7 --jobs 4 (--runs sizes the campaign only).
+# Prints each side's campaign wall and CPU seconds, then one line per
+# compared file; exits 0 when all are identical, 1 otherwise. REV is any
+# git revision of this repository; it is exported with `git archive`, so
+# the repository's own state and worktree list are never touched. Needs a
+# parent revision, so it is not a ci_gate stage.
 set -euo pipefail
 
 usage() { echo "usage: compare_exports.sh REV [--runs N] [--seed K] [--jobs J]" >&2; exit 2; }
@@ -49,20 +56,55 @@ build "$WORK/base-src" "$WORK/base-build"
 build "$ROOT" "$WORK/head-build"
 
 GRID=(--runs "$RUNS" --seed "$SEED")
+FAIR=(--sites wikipedia.org,apache.org --protocols TCP,QUIC --networks DSL,LTE
+      --flows 0,4 --mix mixed --runs 2 --seed "$SEED")
 for side in base head; do
   qperc="$WORK/$side-build/tools/qperc"
+  # Relative paths, so both sides print the same text.
+  mkdir -p "$WORK/$side"
+  cd "$WORK/$side"
   echo "== $side: campaign run ${GRID[*]} --jobs $JOBS"
   TIMEFORMAT="$side: wall %R s, cpu %U s user + %S s sys"
-  time "$qperc" campaign run "${GRID[@]}" --jobs "$JOBS" --quiet --out "$WORK/$side-out"
-  "$qperc" campaign export "${GRID[@]}" --out "$WORK/$side-out" > "$WORK/$side.csv"
+  time "$qperc" campaign run "${GRID[@]}" --jobs "$JOBS" --quiet --out campaign 2> campaign.log
+  "$qperc" campaign export "${GRID[@]}" --out campaign > export.csv
+  "$qperc" campaign status "${GRID[@]}" --out campaign > status.txt
+  echo "== $side: fairness ${FAIR[*]} as two shards, then --report"
+  for shard in 0/2 1/2; do
+    "$qperc" fairness "${FAIR[@]}" --shard "$shard" --jobs "$JOBS" --quiet --out fairness \
+      2>> fairness.log
+  done
+  "$qperc" fairness "${FAIR[@]}" --report --export fairness.txt --out fairness \
+    > report.txt 2>> fairness.log
+  sed -i -E 's/ in [0-9.]+ s$/ in - s/' campaign.log fairness.log
+done
+cd "$WORK"
+
+status=0
+if ! diff <(cd base && find . -type f | sort) <(cd head && find . -type f | sort) >&2; then
+  echo "the two sides wrote different files" >&2
+  status=1
+fi
+for file in $(cd base && find . -type f | sort); do
+  if cmp -s "base/$file" "head/$file"; then
+    echo "identical: $file"
+  else
+    echo "DIFFERS: $file" >&2
+    diff "base/$file" "head/$file" | head -6 >&2 || true
+    status=1
+  fi
 done
 
-rows=$(($(wc -l < "$WORK/head.csv") - 1))
-if cmp -s "$WORK/base.csv" "$WORK/head.csv"; then
-  echo "exports identical ($rows conditions)"
-else
-  echo "exports differ ($rows conditions):" >&2
-  cmp "$WORK/base.csv" "$WORK/head.csv" >&2 || true
-  diff "$WORK/base.csv" "$WORK/head.csv" | head -6 >&2 || true
-  exit 1
+echo "== head resumes the base stores"
+qperc="$WORK/head-build/tools/qperc"
+"$qperc" campaign run "${GRID[@]}" --resume --quiet --out base/campaign 2> resume.log
+for shard in 0/2 1/2; do
+  "$qperc" fairness "${FAIR[@]}" --shard "$shard" --resume --quiet --out base/fairness \
+    2>> resume.log
+done
+if [ "$(grep -c ' 0 executed, 0 failed' resume.log)" -ne 3 ]; then
+  echo "head re-ran cells of the base stores:" >&2
+  cat resume.log >&2
+  status=1
 fi
+[ "$status" -eq 0 ] && echo "all grid outputs identical ($(($(wc -l < head/export.csv) - 1)) conditions)"
+exit "$status"

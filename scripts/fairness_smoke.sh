@@ -83,5 +83,19 @@ fi
 if "$QPERC" fairness --runs 4294967296 2>/dev/null; then
   echo "FAIL: --runs wrapping to zero was accepted" >&2; exit 1
 fi
+# A repeated axis value would simulate, print and export one cell twice:
+# bad input, exit 2.
+expect_usage_error() {
+  local status=0
+  "$QPERC" "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: 'qperc $*' exited $status, expected 2" >&2; exit 1
+  fi
+}
+expect_usage_error fairness --runs 1 --flows 0,0 --out "$WORKDIR/bad"
+expect_usage_error fairness --runs 1 --sites wikipedia.org,wikipedia.org --out "$WORKDIR/bad"
+expect_usage_error fairness --runs 1 --flows 0 --mix cubic,cubic --out "$WORKDIR/bad"
+expect_usage_error fairness --runs 1 --flows 0 --stagger-ms 0,0 --out "$WORKDIR/bad"
+expect_usage_error fairness --runs 1 --flows 0 --protocols QUIC,QUIC --out "$WORKDIR/bad"
 
 echo "fairness_smoke: OK"

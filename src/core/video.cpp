@@ -94,7 +94,7 @@ const web::Website& VideoLibrary::site_by_name(const std::string& name) const {
 const Video& VideoLibrary::get(const std::string& site_name,
                                const std::string& protocol_name,
                                net::NetworkKind network) {
-  const Key key{site_name, protocol_name, static_cast<int>(network)};
+  const Key key{site_name, protocol_name, network};
   if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
 
   const web::Website& site = site_by_name(site_name);
@@ -108,8 +108,8 @@ const Video& VideoLibrary::get(const std::string& site_name,
 }
 
 bool VideoLibrary::insert(Video video) {
-  const Key key{video.site, video.protocol, static_cast<int>(video.network)};
-  return cache_.emplace(key, std::move(video)).second;
+  auto key = VideoCodec::key(video);
+  return cache_.emplace(std::move(key), std::move(video)).second;
 }
 
 void VideoLibrary::precompute(const std::vector<std::string>& sites,
@@ -124,7 +124,7 @@ void VideoLibrary::precompute(const std::vector<std::string>& sites,
   for (const auto& site : sites) {
     for (const auto& protocol : protocols) {
       for (const auto network : networks) {
-        const Key key{site, protocol, static_cast<int>(network)};
+        const Key key{site, protocol, network};
         if (!cache_.contains(key)) tasks.push_back(Task{site, protocol, network});
       }
     }
@@ -155,7 +155,7 @@ void VideoLibrary::precompute(const std::vector<std::string>& sites,
       ++next_failure;
       continue;
     }
-    const Key key{tasks[i].site, tasks[i].protocol, static_cast<int>(tasks[i].network)};
+    const Key key{tasks[i].site, tasks[i].protocol, tasks[i].network};
     cache_.emplace(key, std::move(videos[i]));
   }
   if (!failures.empty()) std::rethrow_exception(failures.front().error);
@@ -197,7 +197,23 @@ browser::PageMetrics read_metrics(std::istream& is) {
   return metrics;
 }
 
-bool read_video_record(std::istream& is, Video& video) {
+}  // namespace
+
+void VideoCodec::write(std::ostream& os, const Video& video) {
+  os.precision(17);
+  os << video.site << ' ' << video.protocol << ' ' << static_cast<int>(video.network)
+     << ' ' << video.runs << ' ' << video.mean_retransmissions << ' ';
+  write_metrics(os, video.metrics);
+  os << ' ';
+  write_metrics(os, video.mean_metrics);
+  os << ' ' << video.vc_curve.size();
+  for (const auto& sample : video.vc_curve) {
+    os << ' ' << sample.time.count() << ' ' << sample.completeness;
+  }
+  os << '\n';
+}
+
+bool VideoCodec::read(std::istream& is, Video& video) {
   int network = 0;
   std::size_t curve_points = 0;
   is >> video.site >> video.protocol >> network >> video.runs >>
@@ -219,64 +235,18 @@ bool read_video_record(std::istream& is, Video& video) {
   return static_cast<bool>(is);
 }
 
-}  // namespace
-
-void write_video_record(std::ostream& os, const Video& video) {
-  os.precision(17);
-  os << video.site << ' ' << video.protocol << ' ' << static_cast<int>(video.network)
-     << ' ' << video.runs << ' ' << video.mean_retransmissions << ' ';
-  write_metrics(os, video.metrics);
-  os << ' ';
-  write_metrics(os, video.mean_metrics);
-  os << ' ' << video.vc_curve.size();
-  for (const auto& sample : video.vc_curve) {
-    os << ' ' << sample.time.count() << ' ' << sample.completeness;
-  }
-}
-
-void write_video_file(const std::string& path, const std::string& identity,
-                      const std::map<VideoKey, Video>& videos) {
-  std::ostringstream payload;
-  for (const auto& [key, video] : videos) {
-    write_video_record(payload, video);
-    payload << '\n';
-  }
-  write_durable(path, identity + ' ' + std::to_string(videos.size()), payload.str());
-}
-
-std::optional<std::map<VideoKey, Video>> read_video_file(const std::string& path,
-                                                         const std::string& identity) {
-  const auto file = read_durable(path, identity.substr(0, identity.find(' ')));
-  std::size_t count = 0;
-  if (!file || !file->header.starts_with(identity + ' ') ||
-      !(std::istringstream(file->header.substr(identity.size() + 1)) >> count)) {
-    return std::nullopt;
-  }
-  std::istringstream in(file->payload);
-  std::map<VideoKey, Video> videos;
-  std::string line;
-  for (std::size_t i = 0; i < count && std::getline(in, line); ++i) {
-    std::istringstream record(line);
-    Video video;
-    if (!read_video_record(record, video)) return std::nullopt;
-    VideoKey key{video.site, video.protocol, static_cast<int>(video.network)};
-    videos.insert_or_assign(std::move(key), std::move(video));
-  }
-  if (videos.size() != count || in.peek() != EOF) return std::nullopt;
-  return videos;
-}
-
 bool VideoLibrary::load_cache(const std::string& path) {
   // Parsed fully before touching the live cache: a rejected file must not
   // leave entries behind that precompute would treat as valid.
-  auto staged = read_video_file(path, cache_identity(catalog_seed_, runs_, conditions_));
+  auto staged =
+      read_records<VideoCodec>(path, cache_identity(catalog_seed_, runs_, conditions_));
   if (!staged) return false;
   for (auto& [key, video] : *staged) cache_.insert_or_assign(key, std::move(video));
   return true;
 }
 
 void VideoLibrary::save_cache(const std::string& path) const {
-  write_video_file(path, cache_identity(catalog_seed_, runs_, conditions_), cache_);
+  write_records<VideoCodec>(path, cache_identity(catalog_seed_, runs_, conditions_), cache_);
 }
 
 }  // namespace qperc::core

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -54,24 +53,20 @@ struct Video {
                                   net::TransportStats* transport = nullptr);
 
 /// The (site, protocol, network) key both video stores sort by.
-using VideoKey = std::tuple<std::string, std::string, int>;
+using VideoKey = std::tuple<std::string, std::string, net::NetworkKind>;
 
-/// Serializes one Video as a single whitespace-separated line (no trailing
-/// newline).
-void write_video_record(std::ostream& os, const Video& video);
-/// The file format shared by the VideoLibrary cache and the campaign
-/// runner's ResultStore (ARCHITECTURE.md, "Durable files"): a durable file
-/// whose header is `identity` (magic first) plus the record count, and
-/// whose payload is one write_video_record line per video, in key order.
-/// Throws std::runtime_error when the file cannot be written.
-void write_video_file(const std::string& path, const std::string& identity,
-                      const std::map<VideoKey, Video>& videos);
-/// Reads a file written by write_video_file with the same `identity`.
-/// Returns nullopt when the file fails the durable-file checks, the header
-/// differs, a record is malformed, the count is wrong, or two records share
-/// a key.
-[[nodiscard]] std::optional<std::map<VideoKey, Video>> read_video_file(
-    const std::string& path, const std::string& identity);
+/// The record codec shared by the VideoLibrary cache and the campaign
+/// runner's ResultStore: one whitespace-separated line per Video, in files
+/// written by write_records (ARCHITECTURE.md, "Durable files").
+struct VideoCodec {
+  using Key = VideoKey;
+  using Record = Video;
+  [[nodiscard]] static Key key(const Video& video) {
+    return {video.site, video.protocol, video.network};
+  }
+  static void write(std::ostream& os, const Video& video);
+  [[nodiscard]] static bool read(std::istream& is, Video& video);
+};
 
 /// Lazily computes and caches videos for the whole study grid; the cache is
 /// what both user studies draw their stimuli from.

@@ -1,23 +1,6 @@
 #include "runner/campaign.hpp"
 
-#include <stdexcept>
-
-#include "core/video.hpp"
-
 namespace qperc::runner {
-
-void CampaignSpec::validate() const {
-  if (sites.empty()) throw std::invalid_argument("campaign spec has no sites");
-  if (protocols.empty()) throw std::invalid_argument("campaign spec has no protocols");
-  if (networks.empty()) throw std::invalid_argument("campaign spec has no networks");
-  if (runs == 0) throw std::invalid_argument("campaign spec has runs == 0");
-  if (shard_count == 0) throw std::invalid_argument("campaign shard count must be >= 1");
-  if (shard_index >= shard_count) {
-    throw std::invalid_argument("campaign shard index out of range (want 0.." +
-                                std::to_string(shard_count - 1) + ", got " +
-                                std::to_string(shard_index) + ")");
-  }
-}
 
 std::vector<CampaignTask> CampaignSpec::tasks() const {
   validate();
@@ -26,7 +9,7 @@ std::vector<CampaignTask> CampaignSpec::tasks() const {
   for (const auto& site : sites) {
     for (const auto& protocol : protocols) {
       for (const auto network : networks) {
-        if (grid_index % shard_count == shard_index) {
+        if (owns(grid_index)) {
           CampaignTask task;
           task.grid_index = grid_index;
           task.site = site;

@@ -1,6 +1,5 @@
-// CampaignSpec: a declarative description of the paper's experiment grid
-// (§3's sites × protocols × networks × ≥31 runs) plus the execution knobs
-// that do NOT affect results — sharding for multi-process fan-out.
+// CampaignSpec: the paper's experiment grid (§3's sites × protocols ×
+// networks × ≥31 runs) on the shared grid axes (runner/grid.hpp).
 //
 // Determinism contract: the grid enumeration order is fixed (site-major,
 // then protocol, then network) and every task carries a base seed derived
@@ -15,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "core/video.hpp"
 #include "net/profile.hpp"
+#include "runner/grid.hpp"
 
 namespace qperc::runner {
 
@@ -29,30 +30,16 @@ struct CampaignTask {
   net::NetworkKind network = net::NetworkKind::kDsl;
   /// Derived from (seed, site, protocol, network) only.
   std::uint64_t base_seed = 0;
+
+  /// The store key of the task's result.
+  [[nodiscard]] core::VideoKey key() const { return {site, protocol, network}; }
 };
 
-struct CampaignSpec {
-  std::vector<std::string> sites;
-  std::vector<std::string> protocols;
-  std::vector<net::NetworkKind> networks;
-  /// Trials per condition (the paper records at least 31).
-  std::uint32_t runs = 31;
-  /// Master seed: keys the site catalog and every task's base seed.
-  std::uint64_t seed = 7;
-  /// `--shard i/n`: this process executes grid cells with
-  /// grid_index % shard_count == shard_index. Results stay bit-identical
-  /// per cell; shard stores can be merged afterwards.
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
+struct CampaignSpec : GridAxes {
+  using Task = CampaignTask;
 
   /// Cells in the full grid across all shards.
-  [[nodiscard]] std::size_t grid_size() const {
-    return sites.size() * protocols.size() * networks.size();
-  }
-
-  /// Throws std::invalid_argument on an empty grid dimension, runs == 0,
-  /// or an out-of-range shard.
-  void validate() const;
+  [[nodiscard]] std::size_t grid_size() const { return condition_count(); }
 
   /// Enumerates this shard's tasks in deterministic grid order.
   [[nodiscard]] std::vector<CampaignTask> tasks() const;

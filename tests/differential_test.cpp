@@ -205,7 +205,7 @@ TEST(Differential, ReusedContextMatchesFreshContexts) {
 
 std::string record_of(const core::Video& video) {
   std::ostringstream os;
-  core::write_video_record(os, video);
+  core::VideoCodec::write(os, video);
   return os.str();
 }
 

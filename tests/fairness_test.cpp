@@ -148,7 +148,7 @@ runner::FairnessCell sample_cell() {
 
 std::string record_line(const runner::FairnessCell& cell) {
   std::ostringstream os;
-  runner::write_fairness_record(os, cell);
+  runner::FairnessCodec::write(os, cell);
   return os.str();
 }
 
@@ -158,7 +158,7 @@ TEST(FairnessRecord, RoundTripsByteExactly) {
 
   std::istringstream is(line);
   runner::FairnessCell parsed;
-  ASSERT_TRUE(runner::read_fairness_record(is, parsed));
+  ASSERT_TRUE(runner::FairnessCodec::read(is, parsed));
   EXPECT_EQ(record_line(parsed), line);
   EXPECT_EQ(parsed.site, cell.site);
   EXPECT_EQ(parsed.flows, cell.flows);
@@ -171,10 +171,10 @@ TEST(FairnessRecord, RoundTripsByteExactly) {
 TEST(FairnessRecord, RejectsMalformedLines) {
   runner::FairnessCell cell;
   std::istringstream truncated("cell 1 apache.org QUIC 0 2");
-  EXPECT_FALSE(runner::read_fairness_record(truncated, cell));
+  EXPECT_FALSE(runner::FairnessCodec::read(truncated, cell));
   std::istringstream bad_mix(
       "cell 1 apache.org QUIC 0 2 warp 0 1 1 1 1 1 1 1 1 1 1 1 0");
-  EXPECT_FALSE(runner::read_fairness_record(bad_mix, cell));
+  EXPECT_FALSE(runner::FairnessCodec::read(bad_mix, cell));
 }
 
 TEST(FairnessStore, LoadRejectsMismatchedFingerprint) {
@@ -260,7 +260,7 @@ runner::FairnessSpec small_spec() {
 std::string store_bytes(const runner::FairnessStore& store) {
   std::ostringstream os;
   store.for_each(
-      [&os](const runner::FairnessCell& cell) { runner::write_fairness_record(os, cell); });
+      [&os](const runner::FairnessCell& cell) { runner::FairnessCodec::write(os, cell); });
   return os.str();
 }
 
@@ -273,14 +273,14 @@ TEST(FairnessGrid, ByteIdenticalAcrossJobCounts) {
   const runner::FairnessSpec spec = small_spec();
 
   runner::FairnessStore serial = make_store(spec, "jobs1");
-  runner::FairnessOptions one;
+  runner::GridOptions one;
   one.jobs = 1;
   const auto report_serial = runner::run_fairness(spec, serial, one);
   EXPECT_TRUE(report_serial.failures.empty());
   EXPECT_EQ(report_serial.executed, spec.grid_size());
 
   runner::FairnessStore parallel = make_store(spec, "jobs4");
-  runner::FairnessOptions four;
+  runner::GridOptions four;
   four.jobs = 4;
   const auto report_parallel = runner::run_fairness(spec, parallel, four);
   EXPECT_TRUE(report_parallel.failures.empty());
@@ -293,7 +293,7 @@ TEST(FairnessGrid, ByteIdenticalAcrossJobCounts) {
 TEST(FairnessGrid, ShardSplitMergesToTheUnshardedResult) {
   const runner::FairnessSpec spec = small_spec();
   runner::FairnessStore whole = make_store(spec, "whole");
-  runner::FairnessOptions two;
+  runner::GridOptions two;
   two.jobs = 2;
   ASSERT_TRUE(runner::run_fairness(spec, whole, two).failures.empty());
 
@@ -324,14 +324,14 @@ TEST(FairnessGrid, ShardSplitMergesToTheUnshardedResult) {
 TEST(FairnessGrid, InterruptAndResumeMatchesOneShot) {
   const runner::FairnessSpec spec = small_spec();
   runner::FairnessStore oneshot = make_store(spec, "oneshot");
-  runner::FairnessOptions serial;
+  runner::GridOptions serial;
   serial.jobs = 1;
   ASSERT_TRUE(runner::run_fairness(spec, oneshot, serial).failures.empty());
 
   // "Interrupt" after two cells (deterministic via max_tasks), then resume
   // from the checkpoint the first run wrote.
   runner::FairnessStore resumed = make_store(spec, "resumed");
-  runner::FairnessOptions partial;
+  runner::GridOptions partial;
   partial.jobs = 1;
   partial.max_tasks = 2;
   const auto first = runner::run_fairness(spec, resumed, partial);

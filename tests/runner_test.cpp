@@ -1,9 +1,11 @@
 // Runner tests: executor fault capture, grid sharding, durable result
 // store (corruption, truncation, atomicity), campaign determinism across
-// job counts, resume-from-checkpoint, and fault injection.
+// job counts, resume-from-checkpoint, fault injection and progress on both
+// grids the one grid loop runs (campaign and fairness).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include "runner/campaign.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/executor.hpp"
+#include "runner/fairness.hpp"
 #include "runner/result_store.hpp"
 #include "util/durable_file.hpp"
 #include "web/website.hpp"
@@ -111,6 +114,19 @@ CampaignSpec tiny_spec() {
   return spec;
 }
 
+/// A 2-site fairness grid of one-run cells (flows 0 only).
+FairnessSpec tiny_fairness_spec() {
+  FairnessSpec spec;
+  spec.sites = {"wikipedia.org", "apache.org"};
+  spec.protocols = {"QUIC"};
+  spec.networks = {net::NetworkKind::kDsl};
+  spec.flow_counts = {0};
+  spec.mixes = {net::CrossMix::kCubic};
+  spec.staggers = {SimDuration{0}};
+  spec.runs = 1;
+  return spec;
+}
+
 TEST(CampaignSpec, ValidateRejectsDegenerateGrids) {
   EXPECT_NO_THROW(tiny_spec().validate());
   auto no_sites = tiny_spec();
@@ -126,6 +142,15 @@ TEST(CampaignSpec, ValidateRejectsDegenerateGrids) {
   auto zero_shards = tiny_spec();
   zero_shards.shard_count = 0;
   EXPECT_THROW(zero_shards.validate(), std::invalid_argument);
+  // A repeated axis value would run one cell twice and store it once.
+  auto repeated = tiny_spec();
+  repeated.protocols = {"TCP", "QUIC", "TCP"};
+  EXPECT_THROW(repeated.validate(), std::invalid_argument);
+  // The fairness grid shares the check, on its own axes too.
+  EXPECT_NO_THROW(tiny_fairness_spec().validate());
+  auto repeated_flows = tiny_fairness_spec();
+  repeated_flows.flow_counts = {0, 0};
+  EXPECT_THROW(repeated_flows.validate(), std::invalid_argument);
 }
 
 TEST(CampaignSpec, ShardsPartitionTheGrid) {
@@ -189,9 +214,9 @@ TEST(ResultStore, RoundTripsThroughDisk) {
   ResultStore reader(path, 7, 2);
   ASSERT_TRUE(reader.load());
   EXPECT_EQ(reader.size(), 2u);
-  EXPECT_TRUE(reader.contains("gov.uk", "QUIC", net::NetworkKind::kDsl));
-  EXPECT_TRUE(reader.contains("wikipedia.org", "TCP", net::NetworkKind::kLte));
-  EXPECT_FALSE(reader.contains("gov.uk", "TCP", net::NetworkKind::kDsl));
+  EXPECT_TRUE(reader.contains({"gov.uk", "QUIC", net::NetworkKind::kDsl}));
+  EXPECT_TRUE(reader.contains({"wikipedia.org", "TCP", net::NetworkKind::kLte}));
+  EXPECT_FALSE(reader.contains({"gov.uk", "TCP", net::NetworkKind::kDsl}));
 
   const auto original = make_video("gov.uk", "QUIC", net::NetworkKind::kDsl);
   reader.for_each([&](const core::Video& video) {
@@ -386,9 +411,81 @@ TEST(Campaign, RecordsFailuresAndCompletesTheRest) {
   }
   // The healthy half of the grid completed and was persisted.
   EXPECT_EQ(store.size(), 4u);
-  EXPECT_TRUE(store.contains("wikipedia.org", "QUIC", net::NetworkKind::kDsl));
-  EXPECT_TRUE(store.contains("wikipedia.org", "TCP", net::NetworkKind::kLte));
+  EXPECT_TRUE(store.contains({"wikipedia.org", "QUIC", net::NetworkKind::kDsl}));
+  EXPECT_TRUE(store.contains({"wikipedia.org", "TCP", net::NetworkKind::kLte}));
   std::remove(path.c_str());
+
+  // The fairness grid runs through the same loop: its unresolvable cell is
+  // recorded too, and the healthy cell is stored.
+  auto fairness = tiny_fairness_spec();
+  fairness.sites = {"wikipedia.org", "no-such-site.test"};
+  const std::string cells_path = temp_path("qperc_fairness_faults.qfr");
+  std::remove(cells_path.c_str());
+  FairnessStore cells(cells_path, fairness.seed, fairness.runs, fairness.fingerprint());
+  const auto fairness_report = run_fairness(fairness, cells, options);
+  ASSERT_EQ(fairness_report.failures.size(), 1u);
+  EXPECT_EQ(fairness_report.failures[0].task.site, "no-such-site.test");
+  EXPECT_EQ(fairness_report.failures[0].attempts, options.max_attempts);
+  EXPECT_NE(fairness_report.failures[0].message.find("no-such-site.test"), std::string::npos);
+  EXPECT_EQ(cells.size(), 1u);
+  EXPECT_TRUE(cells.contains(0));
+  std::remove(cells_path.c_str());
+}
+
+/// Options that record every progress snapshot of a run.
+GridOptions recording(std::vector<GridProgress>& snapshots) {
+  GridOptions options;
+  options.jobs = 2;
+  options.progress_interval = std::chrono::milliseconds(0);
+  options.on_progress = [&snapshots](const GridProgress& progress) {
+    snapshots.push_back(progress);
+  };
+  return options;
+}
+
+/// The snapshots of a run never count backwards, and the last one matches
+/// the report.
+template <class Task>
+void expect_progress_matches(const std::vector<GridProgress>& snapshots,
+                             const GridReport<Task>& report, std::size_t resumed) {
+  ASSERT_FALSE(snapshots.empty());
+  for (std::size_t i = 1; i < snapshots.size(); ++i) {
+    EXPECT_LE(snapshots[i - 1].completed, snapshots[i].completed) << "snapshot " << i;
+  }
+  const GridProgress& last = snapshots.back();
+  EXPECT_EQ(last.completed, report.executed - report.failures.size());
+  EXPECT_EQ(last.skipped, resumed);
+  EXPECT_EQ(last.skipped, report.skipped);
+  EXPECT_EQ(last.total, report.total);
+}
+
+TEST(Campaign, ProgressCountsEveryCellOnBothGrids) {
+  // Each grid is interrupted after 2 cells, then resumed with a recorder.
+  const auto spec = tiny_spec();
+  const std::string path = temp_path("qperc_campaign_progress.qcr");
+  std::remove(path.c_str());
+  ResultStore store(path, spec.seed, spec.runs);
+  CampaignOptions first_leg;
+  first_leg.max_tasks = 2;
+  static_cast<void>(run_campaign(spec, store, first_leg));
+  std::vector<GridProgress> snapshots;
+  const auto report = run_campaign(spec, store, recording(snapshots));
+  expect_progress_matches(snapshots, report, 2);
+  EXPECT_TRUE(snapshots.back().transport == report.transport);
+  std::remove(path.c_str());
+
+  auto fairness = tiny_fairness_spec();
+  fairness.flow_counts = {0, 2};
+  const std::string cells_path = temp_path("qperc_fairness_progress.qfr");
+  std::remove(cells_path.c_str());
+  FairnessStore cells(cells_path, fairness.seed, fairness.runs, fairness.fingerprint());
+  GridOptions partial;
+  partial.max_tasks = 2;
+  static_cast<void>(run_fairness(fairness, cells, partial));
+  snapshots.clear();
+  const auto fairness_report = run_fairness(fairness, cells, recording(snapshots));
+  expect_progress_matches(snapshots, fairness_report, 2);
+  std::remove(cells_path.c_str());
 }
 
 TEST(Campaign, RejectsStoreWithMismatchedParameters) {

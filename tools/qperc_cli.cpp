@@ -11,7 +11,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,11 +24,12 @@
 #include "population/checkpoint.hpp"
 #include "population/population_study.hpp"
 #include "runner/campaign.hpp"
-#include "sim/simulator.hpp"
 #include "runner/campaign_runner.hpp"
 #include "runner/fairness.hpp"
+#include "runner/grid.hpp"
 #include "runner/result_store.hpp"
 #include "runner/torture.hpp"
+#include "sim/simulator.hpp"
 #include "stats/stats.hpp"
 #include "stats/streaming.hpp"
 #include "trace/counters.hpp"
@@ -81,8 +81,7 @@ SimDuration from_ms(double ms) { return from_seconds(ms / 1e3); }
 /// The grid flags campaign and fairness share: --seed, --runs, the validated
 /// --protocols/--networks lists and --shard. What the caller left in `spec`
 /// is the default of each flag not given.
-template <class Spec>
-void grid_from_args(const Args& args, Spec& spec) {
+void grid_from_args(const Args& args, runner::GridAxes& spec) {
   spec.seed = args.u64("--seed", spec.seed);
   spec.runs = runs_arg(args, spec.runs);
   if (args.has("--protocols")) {
@@ -199,11 +198,6 @@ std::vector<std::string> files_with_prefix(const std::string& dir, const std::st
   return files;
 }
 
-/// "campaign_seed7_runs31": the identity prefix of a campaign or fairness store.
-std::string seed_runs_prefix(std::string_view stem, std::uint64_t seed, std::uint32_t runs) {
-  return std::string(stem) + "_seed" + std::to_string(seed) + "_runs" + std::to_string(runs);
-}
-
 /// --export FILE, if given: writes the canonical export through `write`,
 /// failing loudly on any I/O error, and says where it went.
 void export_if_asked(const Args& args, std::string_view done,
@@ -216,19 +210,6 @@ void export_if_asked(const Args& args, std::string_view done,
   out.flush();
   if (!out) throw std::runtime_error("failed writing export file " + path);
   std::cerr << done << path << "\n";
-}
-
-/// --resume: loads a store's own checkpoint, saying what was found.
-template <class Store>
-void resume_if_asked(const Args& args, Store& store, std::string_view who,
-                     std::string_view units) {
-  if (!args.has("--resume")) return;
-  if (store.load()) {
-    std::cerr << who << ": resuming — " << store.size() << " " << units
-              << " already checkpointed in " << store.path() << "\n";
-  } else {
-    std::cerr << who << ": no usable checkpoint at " << store.path() << ", starting fresh\n";
-  }
 }
 
 // --- qperc catalog / protocols / networks / trial / video / study ------------------
@@ -695,7 +676,124 @@ int cmd_study_report(const Args& args) {
   return 0;
 }
 
-// --- qperc campaign ---------------------------------------------------------
+// --- Grid commands: qperc campaign and qperc fairness ----------------------------
+
+/// How a grid command names itself, its cells, its store files and its
+/// interruption flag on the command line.
+struct GridCommand {
+  std::string_view name;      // message prefix and store file stem
+  std::string_view units;     // what one cell is called
+  std::string_view ext;       // store file extension
+  std::string_view max_flag;  // stop after this many cells
+  /// The progress line and summary show the run rate and transport ledger.
+  bool transport;
+};
+
+constexpr GridCommand kCampaign{"campaign", "conditions", ".qcr", "--max-tasks", true};
+constexpr GridCommand kFairness{"fairness", "cells", ".qfr", "--max-cells", false};
+
+/// "campaign_seed7_runs31": the identity prefix of a grid's store files.
+std::string grid_prefix(const GridCommand& grid, const runner::GridAxes& spec) {
+  return std::string(grid.name) + "_seed" + std::to_string(spec.seed) + "_runs" +
+         std::to_string(spec.runs);
+}
+
+/// The store file of the spec's shard inside --out.
+std::string grid_store_path(const GridCommand& grid, const runner::GridAxes& spec,
+                            const std::string& out_dir) {
+  return out_dir + "/" +
+         shard_file_name(grid_prefix(grid, spec), spec.shard_index, spec.shard_count,
+                         grid.ext);
+}
+
+/// Every checkpoint file of the spec's (seed, runs) identity in --out, any
+/// shard split.
+std::vector<std::string> grid_files(const GridCommand& grid, const runner::GridAxes& spec,
+                                    const std::string& out_dir) {
+  return files_with_prefix(out_dir, grid_prefix(grid, spec), grid.ext);
+}
+
+/// Merges `files` into `merged` (records merged first win), naming each file
+/// that does not load under the store's identity. Returns how many merged.
+template <class Store>
+std::size_t merge_checkpoints(const GridCommand& grid, const std::vector<std::string>& files,
+                              Store& merged) {
+  std::size_t read = 0;
+  for (const auto& file : files) {
+    if (merged.absorb(file)) {
+      ++read;
+    } else {
+      std::cerr << grid.name << ": skipping unreadable or mismatched checkpoint " << file
+                << "\n";
+    }
+  }
+  return read;
+}
+
+std::string describe(const runner::CampaignTask& task) {
+  return task.site + "/" + task.protocol + "/" + std::string(net::to_string(task.network));
+}
+
+std::string describe(const runner::FairnessTask& task) {
+  return task.site + "/" + task.protocol + "/" + std::string(net::to_string(task.network)) +
+         "/" + std::to_string(task.flows) + "x" + std::string(net::to_string(task.mix));
+}
+
+/// Runs the spec's shard into `store` through `run` (run_campaign or
+/// run_fairness): --resume, --jobs, --retries and the command's
+/// interruption flag, the progress line, and the end-of-run summary on
+/// stderr. Returns whether every cell succeeded.
+template <class Spec, class Store, class Run>
+bool run_grid_command(const Args& args, const GridCommand& grid, const Spec& spec,
+                      Store& store, const Run& run) {
+  if (args.has("--resume")) {
+    if (store.load()) {
+      std::cerr << grid.name << ": resuming — " << store.size() << " " << grid.units
+                << " already checkpointed in " << store.path() << "\n";
+    } else {
+      std::cerr << grid.name << ": no usable checkpoint at " << store.path()
+                << ", starting fresh\n";
+    }
+  }
+  runner::GridOptions options;
+  options.jobs = args.u32("--jobs", 0);
+  options.max_attempts = args.u32("--retries", 1) + 1;
+  options.max_tasks = args.u64(grid.max_flag, 0);
+  if (!args.has("--quiet")) {
+    options.on_progress = [&grid](const runner::GridProgress& progress) {
+      std::cerr << "\r" << grid.name << ": " << progress.completed << "/" << progress.pending
+                << " " << grid.units << " (" << progress.skipped << " resumed), ";
+      if (grid.transport) std::cerr << fmt_fixed(progress.tasks_per_second, 2) << "/s, ";
+      std::cerr << "ETA " << fmt_fixed(progress.eta_seconds, 0) << " s";
+      if (grid.transport) {
+        std::cerr << ", packets " << progress.transport.data_packets_sent << ", retx "
+                  << progress.transport.retransmissions;
+      }
+      std::cerr << "   " << std::flush;
+    };
+  }
+
+  const auto report = run(spec, store, options);
+  if (options.on_progress) std::cerr << "\n";
+
+  std::cerr << grid.name << ": " << report.total << " " << grid.units << " in shard (grid "
+            << spec.grid_size() << "), " << report.skipped << " resumed, "
+            << report.executed << " executed, " << report.failures.size() << " failed in "
+            << fmt_fixed(report.elapsed_seconds, 1) << " s\n";
+  if (grid.transport) {
+    const net::TransportStats& totals = report.transport;
+    std::cerr << grid.name << ": totals — packets sent " << totals.data_packets_sent
+              << ", retransmissions " << totals.retransmissions << ", timeouts "
+              << totals.timeouts << ", handshake packets " << totals.handshake_packets
+              << ", congestion events " << totals.congestion_events << "\n";
+  }
+  for (const auto& failure : report.failures) {
+    std::cerr << grid.name << ": FAILED " << describe(failure.task) << " after "
+              << failure.attempts << " attempt(s): " << failure.message << "\n";
+  }
+  std::cerr << grid.name << ": results in " << store.path() << "\n";
+  return report.failures.empty();
+}
 
 /// Builds the grid spec shared by campaign run/status/export: the default
 /// is the full paper grid (all sites x 5 protocols x 4 networks).
@@ -713,106 +811,49 @@ runner::CampaignSpec spec_from_args(const Args& args) {
   return spec;
 }
 
-/// The stored results of the spec's grid (sites x protocols x networks),
-/// merged across every checkpoint file for its (seed, runs) pair.
-std::map<runner::ResultStore::Key, core::Video> merged_results(
-    const std::vector<std::string>& files, const runner::CampaignSpec& spec) {
-  const auto in_grid = [&spec](const core::Video& video) {
-    return std::ranges::find(spec.sites, video.site) != spec.sites.end() &&
-           std::ranges::find(spec.protocols, video.protocol) != spec.protocols.end() &&
-           std::ranges::find(spec.networks, video.network) != spec.networks.end();
-  };
-  std::map<runner::ResultStore::Key, core::Video> merged;
-  for (const auto& file : files) {
-    runner::ResultStore store(file, spec.seed, spec.runs);
-    if (!store.load()) {
-      std::cerr << "campaign: skipping unreadable or mismatched checkpoint " << file
-                << "\n";
-      continue;
+/// The stored results of the spec's grid (sites x protocols x networks) in
+/// key order, merged across `files`; a store may hold a wider grid.
+std::vector<core::Video> campaign_results(const std::vector<std::string>& files,
+                                          const runner::CampaignSpec& spec,
+                                          const std::string& out_dir) {
+  runner::ResultStore merged(grid_store_path(kCampaign, spec, out_dir), spec.seed, spec.runs);
+  merge_checkpoints(kCampaign, files, merged);
+  std::vector<core::Video> videos;
+  merged.for_each([&](const core::Video& video) {
+    if (std::ranges::find(spec.sites, video.site) != spec.sites.end() &&
+        std::ranges::find(spec.protocols, video.protocol) != spec.protocols.end() &&
+        std::ranges::find(spec.networks, video.network) != spec.networks.end()) {
+      videos.push_back(video);
     }
-    store.for_each([&](const core::Video& video) {
-      if (!in_grid(video)) return;
-      merged.insert_or_assign(
-          runner::ResultStore::Key{video.site, video.protocol,
-                                   static_cast<int>(video.network)},
-          video);
-    });
-  }
-  return merged;
-}
-
-std::vector<std::string> campaign_files(const std::string& out_dir,
-                                        const runner::CampaignSpec& spec) {
-  return files_with_prefix(out_dir, seed_runs_prefix("campaign", spec.seed, spec.runs),
-                           ".qcr");
+  });
+  return videos;
 }
 
 int cmd_campaign_run(const Args& args) {
   const auto spec = spec_from_args(args);
   const std::string out_dir = args.get("--out", "out/campaign");
   std::filesystem::create_directories(out_dir);
-
-  runner::ResultStore store(
-      out_dir + "/" +
-          shard_file_name(seed_runs_prefix("campaign", spec.seed, spec.runs),
-                          spec.shard_index, spec.shard_count, ".qcr"),
-      spec.seed, spec.runs, args.u64("--checkpoint-every", 25));
-  resume_if_asked(args, store, "campaign", "conditions");
-
-  runner::CampaignOptions options;
-  options.jobs = args.u32("--jobs", 0);
-  options.max_attempts = args.u32("--retries", 1) + 1;
-  options.max_tasks = args.u64("--max-tasks", 0);
-  if (!args.has("--quiet")) {
-    options.on_progress = [](const runner::CampaignProgress& progress) {
-      std::cerr << "\rcampaign: " << progress.completed << "/" << progress.pending
-                << " conditions (" << progress.skipped << " resumed), "
-                << fmt_fixed(progress.tasks_per_second, 2) << "/s, ETA "
-                << fmt_fixed(progress.eta_seconds, 0) << " s, packets "
-                << progress.transport.data_packets_sent << ", retx "
-                << progress.transport.retransmissions << "   " << std::flush;
-    };
-  }
-
-  const auto report = runner::run_campaign(spec, store, options);
-  if (options.on_progress) std::cerr << "\n";
-
-  std::cerr << "campaign: " << report.total << " conditions in shard (grid "
-            << spec.grid_size() << "), " << report.skipped << " resumed, "
-            << report.executed << " executed, " << report.failures.size() << " failed in "
-            << fmt_fixed(report.elapsed_seconds, 1) << " s\n";
-  const net::TransportStats& totals = report.transport;
-  std::cerr << "campaign: totals — packets sent " << totals.data_packets_sent
-            << ", retransmissions " << totals.retransmissions << ", timeouts "
-            << totals.timeouts << ", handshake packets " << totals.handshake_packets
-            << ", congestion events " << totals.congestion_events << "\n";
-  for (const auto& failure : report.failures) {
-    std::cerr << "campaign: FAILED " << failure.task.site << "/" << failure.task.protocol
-              << "/" << net::to_string(failure.task.network) << " after "
-              << failure.attempts << " attempt(s): " << failure.message << "\n";
-  }
-  std::cerr << "campaign: results in " << store.path() << "\n";
-  return report.failures.empty() ? 0 : 1;
+  runner::ResultStore store(grid_store_path(kCampaign, spec, out_dir), spec.seed, spec.runs,
+                            args.u64("--checkpoint-every", 25));
+  return run_grid_command(args, kCampaign, spec, store, runner::run_campaign) ? 0 : 1;
 }
 
 int cmd_campaign_status(const Args& args) {
   const auto spec = spec_from_args(args);
   const std::string out_dir = args.get("--out", "out/campaign");
-  const auto files = campaign_files(out_dir, spec);
-  const auto merged = merged_results(files, spec);
+  const auto files = grid_files(kCampaign, spec, out_dir);
+  const auto videos = campaign_results(files, spec, out_dir);
 
   std::cout << "campaign store: " << out_dir << " (" << files.size()
             << " checkpoint file(s), seed " << spec.seed << ", runs " << spec.runs
             << ")\n";
-  std::cout << "completed: " << merged.size() << " / " << spec.grid_size()
+  std::cout << "completed: " << videos.size() << " / " << spec.grid_size()
             << " conditions\n";
 
   TextTable table({"Network", "completed", "of"});
   for (const auto kind : spec.networks) {
-    std::size_t done = 0;
-    for (const auto& [key, video] : merged) {
-      if (std::get<2>(key) == static_cast<int>(kind)) ++done;
-    }
+    const auto done = std::ranges::count_if(
+        videos, [kind](const core::Video& video) { return video.network == kind; });
     table.add_row({std::string(net::to_string(kind)), std::to_string(done),
                    std::to_string(spec.sites.size() * spec.protocols.size())});
   }
@@ -822,14 +863,14 @@ int cmd_campaign_status(const Args& args) {
 
 int cmd_campaign_export(const Args& args) {
   const auto spec = spec_from_args(args);
-  const auto merged =
-      merged_results(campaign_files(args.get("--out", "out/campaign"), spec), spec);
+  const std::string out_dir = args.get("--out", "out/campaign");
+  const auto videos = campaign_results(grid_files(kCampaign, spec, out_dir), spec, out_dir);
 
   std::cout << "site,protocol,network,runs,fvc_ms,si_ms,vc85_ms,lvc_ms,plt_ms,"
                "mean_fvc_ms,mean_si_ms,mean_vc85_ms,mean_lvc_ms,mean_plt_ms,"
                "mean_retransmissions,vc_points\n";
   std::cout.precision(17);
-  for (const auto& [key, video] : merged) {
+  for (const auto& video : videos) {
     std::cout << video.site << ',' << video.protocol << ','
               << net::to_string(video.network) << ',' << video.runs << ','
               << video.metrics.fvc_ms() << ',' << video.metrics.si_ms() << ','
@@ -842,16 +883,15 @@ int cmd_campaign_export(const Args& args) {
   return 0;
 }
 
-// --- qperc fairness ---------------------------------------------------------
-
 /// Builds the fairness grid spec shared by run/report/export. The default is
-/// one cell: the first catalog site, QUIC over DSL, 16 cubic cross flows.
+/// one cell: the first catalog site, QUIC over DSL, 16 cubic cross flows,
+/// 5 runs.
 runner::FairnessSpec fairness_spec_from_args(const Args& args) {
   runner::FairnessSpec spec;
+  spec.runs = 5;
   spec.protocols.emplace_back("QUIC");
   spec.networks.push_back(net::NetworkKind::kDsl);
   grid_from_args(args, spec);
-
   const auto catalog = web::study_catalog(spec.seed);
   for (const auto& name : args.list("--sites", catalog.front().name)) {
     spec.sites.push_back(site_by_name(catalog, name).name);
@@ -877,9 +917,8 @@ runner::FairnessSpec fairness_spec_from_args(const Args& args) {
 /// regardless of --jobs, shard split, or resume history.
 void export_fairness(const Args& args, const runner::FairnessStore& store) {
   export_if_asked(args, "fairness: exported to ", [&store](std::ostream& out) {
-    store.for_each([&out](const runner::FairnessCell& cell) {
-      runner::write_fairness_record(out, cell);
-    });
+    store.for_each(
+        [&out](const runner::FairnessCell& cell) { runner::FairnessCodec::write(out, cell); });
   });
 }
 
@@ -920,18 +959,10 @@ int cmd_fairness(const Args& args) {
   // --report: merge every compatible checkpoint in --out and print/export
   // without running anything (the multi-shard rendezvous).
   if (args.has("--report")) {
-    runner::FairnessStore merged(out_dir + "/.fairness_merge.tmp", spec.seed, spec.runs,
-                                 spec.fingerprint());
-    std::size_t absorbed = 0;
-    const std::string prefix = seed_runs_prefix("fairness", spec.seed, spec.runs);
-    for (const auto& file : files_with_prefix(out_dir, prefix, ".qfr")) {
-      if (merged.absorb(file)) {
-        ++absorbed;
-      } else {
-        std::cerr << "fairness: skipping unreadable or mismatched checkpoint " << file
-                  << "\n";
-      }
-    }
+    runner::FairnessStore merged(grid_store_path(kFairness, spec, out_dir), spec.seed,
+                                 spec.runs, spec.fingerprint());
+    const std::size_t absorbed =
+        merge_checkpoints(kFairness, grid_files(kFairness, spec, out_dir), merged);
     if (absorbed == 0) {
       std::cerr << "fairness: no usable checkpoints in " << out_dir
                 << " — run `qperc fairness` first\n";
@@ -944,42 +975,9 @@ int cmd_fairness(const Args& args) {
     return merged.size() == spec.grid_size() ? 0 : 1;
   }
 
-  runner::FairnessStore store(
-      out_dir + "/" +
-          shard_file_name(seed_runs_prefix("fairness", spec.seed, spec.runs),
-                          spec.shard_index, spec.shard_count, ".qfr"),
-      spec.seed, spec.runs, spec.fingerprint(), args.u64("--checkpoint-every", 8));
-  resume_if_asked(args, store, "fairness", "cells");
-
-  runner::FairnessOptions options;
-  options.jobs = args.u32("--jobs", 0);
-  options.max_attempts = args.u32("--retries", 1) + 1;
-  options.max_tasks = args.u64("--max-cells", 0);
-  if (!args.has("--quiet")) {
-    options.on_progress = [](const runner::FairnessProgress& progress) {
-      std::cerr << "\rfairness: " << progress.completed << "/" << progress.pending
-                << " cells (" << progress.skipped << " resumed), ETA "
-                << fmt_fixed(progress.eta_seconds, 0) << " s   " << std::flush;
-    };
-  }
-
-  const auto report = runner::run_fairness(spec, store, options);
-  if (options.on_progress) std::cerr << "\n";
-
-  std::cerr << "fairness: " << report.total << " cells in shard (grid "
-            << spec.grid_size() << "), " << report.skipped << " resumed, "
-            << report.executed << " executed, " << report.failures.size() << " failed in "
-            << fmt_fixed(report.elapsed_seconds, 1) << " s\n";
-  for (const auto& failure : report.failures) {
-    std::cerr << "fairness: FAILED " << failure.task.site << "/" << failure.task.protocol
-              << "/" << net::to_string(failure.task.network) << "/"
-              << failure.task.flows << "x" << net::to_string(failure.task.mix)
-              << " after " << failure.attempts << " attempt(s): " << failure.message
-              << "\n";
-  }
-  std::cerr << "fairness: results in " << store.path() << "\n";
-  if (!report.failures.empty()) return 1;
-
+  runner::FairnessStore store(grid_store_path(kFairness, spec, out_dir), spec.seed, spec.runs,
+                              spec.fingerprint(), args.u64("--checkpoint-every", 8));
+  if (!run_grid_command(args, kFairness, spec, store, runner::run_fairness)) return 1;
   if (spec.shard_count > 1) {
     std::cerr << "fairness: shard " << spec.shard_index << "/" << spec.shard_count
               << " done — merge with `qperc fairness --report`\n";
