@@ -14,7 +14,7 @@ int main() {
                 "(same IW) copes better thanks to its ACK ranges and streams.");
 
   bench::CachedLibrary cached;
-  cached.precompute_all();
+  cached.produce_all();
   auto& library = cached.get();
   const auto sites = bench::bench_sites(library);
 

@@ -12,7 +12,7 @@ int main() {
                 "beats TCP+ (IW32 early losses) and the flip reverts on MSS (§4.3).");
 
   bench::CachedLibrary cached;
-  cached.precompute_all();
+  cached.produce_all();
   auto& library = cached.get();
 
   const auto report = bench::run_study(

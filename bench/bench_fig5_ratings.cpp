@@ -30,7 +30,7 @@ int main() {
                 "the slow settings; the plane context rates poor (§4.4).");
 
   bench::CachedLibrary cached;
-  cached.precompute_all();
+  cached.produce_all();
   auto& library = cached.get();
 
   const auto report = bench::run_study(

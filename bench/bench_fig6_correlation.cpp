@@ -17,7 +17,7 @@ int main() {
                 "all coefficients negative (§4.4).");
 
   bench::CachedLibrary cached;
-  cached.precompute_all();
+  cached.produce_all();
   auto& library = cached.get();
 
   const auto report = bench::run_study(

@@ -91,7 +91,7 @@ inline std::string cache_path() {
 }
 
 /// A video library backed by the campaign runner's durable ResultStore;
-/// `precompute_all` runs everything the study benches need as a resumable
+/// `produce_all` runs everything the study benches need as a resumable
 /// campaign, so the grid is simulated at most once per (seed, runs) pair
 /// across the whole bench suite — and an interrupted bench resumes from the
 /// store's last checkpoint instead of restarting.
@@ -106,28 +106,21 @@ class CachedLibrary {
 
   core::VideoLibrary& get() { return library_; }
 
-  void precompute(const std::vector<std::string>& sites,
-                  const std::vector<std::string>& protocols,
-                  const std::vector<net::NetworkKind>& networks) {
-    runner::CampaignSpec spec;
-    spec.sites = sites;
-    spec.protocols = protocols;
-    spec.networks = networks;
-    spec.runs = runs_per_condition();
-    spec.seed = master_seed();
+  /// Produces the stimulus grid (runner::stimulus_spec) of the first `sites`
+  /// catalog sites into the store and adopts it.
+  void produce(std::size_t sites) {
     runner::CampaignOptions options;
     options.jobs = campaign_jobs();
-    const auto report = runner::run_campaign(spec, store_, options);
+    const auto report = runner::run_campaign(
+        runner::stimulus_spec(master_seed(), runs_per_condition(), sites), store_, options);
     for (const auto& failure : report.failures) {
-      std::cerr << "precompute failed: " << failure.task.site << "/"
+      std::cerr << "stimulus production failed: " << failure.task.site << "/"
                 << failure.task.protocol << ": " << failure.message << "\n";
     }
     runner::adopt_results(store_, library_);
   }
 
-  void precompute_all() {
-    precompute(bench_sites(library_), all_protocol_names(), all_network_kinds());
-  }
+  void produce_all() { produce(site_budget()); }
 
   [[nodiscard]] bool loaded_from_disk() const { return loaded_; }
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(out_dir);
 
   bench::CachedLibrary cached;
-  cached.precompute_all();
+  cached.produce_all();
   auto& library = cached.get();
 
   // Stimulus metrics.

@@ -213,6 +213,9 @@ class Analysis:
         self.objects = []
         self.su_bytes = {}        # su_key -> max bytes
         self.su_dynamic = set()   # su_key with unbounded-dynamic qualifier
+        # (obj_idx, clone kind, parameter count, bytes, dynamic) of .su
+        # records named after a clone kind, pending resolve_su_clones
+        self.su_clones = []
         self.demangled = {}       # raw symbol -> demangled
         self.aliases = {}         # alias uid -> canonical same-address uid
 
@@ -423,7 +426,44 @@ def su_key(signature):
     return sig[start:].lstrip("*&")
 
 
-def parse_su_file(analysis, su_path):
+# GCC names an IPA clone's .su record after the clone kind alone:
+# `fairness.cpp:250:14:constprop(const qperc::runner::FairnessTask&, ...)`
+# for the symbol `qperc::runner::(anonymous namespace)::run_cell(...)
+# [clone .constprop.0]`.
+SU_CLONE_RE = re.compile(r"^(?P<kind>constprop|isra|part|cold|lto_priv|specialized)\(")
+CLONE_SUFFIX_RE = re.compile(r"(?: \[clone \.[\w.]+\])+$")
+
+
+def param_count(signature):
+    """Top-level parameters of a signature's final parameter list (clone
+    suffixes ignored); None when it has no parameter list."""
+    sig = CLONE_SUFFIX_RE.sub("", signature.strip())
+    end = sig.rfind(")")
+    if end == -1:
+        return None
+    depth = 0
+    commas = 0
+    for i in range(end, -1, -1):
+        c = sig[i]
+        if c in ")>":
+            depth += 1
+        elif c in "(<":
+            depth -= 1
+            if depth == 0:
+                inner = sig[i + 1:end].strip()
+                return 0 if inner in ("", "void") else commas + 1
+        elif c == "," and depth == 1:
+            commas += 1
+    return None
+
+
+def record_su(analysis, key, size, dynamic):
+    analysis.su_bytes[key] = max(analysis.su_bytes.get(key, 0), size)
+    if dynamic:
+        analysis.su_dynamic.add(key)
+
+
+def parse_su_file(analysis, obj_idx, su_path):
     try:
         with open(su_path, "r", encoding="utf-8", errors="replace") as fh:
             text = fh.read()
@@ -433,11 +473,30 @@ def parse_su_file(analysis, su_path):
         m = SU_LINE_RE.match(line)
         if not m:
             continue
-        key = su_key(m.group("sig"))
         size = int(m.group("bytes"))
-        analysis.su_bytes[key] = max(analysis.su_bytes.get(key, 0), size)
-        if "dynamic" in m.group("qual") and "bounded" not in m.group("qual"):
-            analysis.su_dynamic.add(key)
+        dynamic = "dynamic" in m.group("qual") and "bounded" not in m.group("qual")
+        clone = SU_CLONE_RE.match(m.group("sig"))
+        if clone:
+            # The function's name is known only once the object's symbols
+            # are demangled; resolve_su_clones matches it then.
+            analysis.su_clones.append((obj_idx, clone.group("kind"),
+                                       param_count(m.group("sig")), size, dynamic))
+        else:
+            record_su(analysis, su_key(m.group("sig")), size, dynamic)
+
+
+def resolve_su_clones(analysis):
+    """Charges each clone-named .su record to the clone symbols of its kind
+    in the same object: those with the record's parameter count, or every one
+    of them when none has it. A record that fits several functions charges
+    each of them, so the budget errs high, never low."""
+    for obj_idx, kind, params, size, dynamic in analysis.su_clones:
+        clones = {analysis.dname(uid) for uid, entry in analysis.symbols.items()
+                  if entry["obj"] == obj_idx and entry["func"]
+                  and f"[clone .{kind}" in analysis.dname(uid)}
+        fitting = {sig for sig in clones if param_count(sig) == params} or clones
+        for sig in sorted(fitting):
+            record_su(analysis, su_key(sig), size, dynamic)
 
 
 def demangle_all(analysis):
@@ -520,8 +579,9 @@ def load_objects(paths):
         parse_data_relocs(analysis, obj_idx, path)
         su_path = re.sub(r"\.(?:o|obj)$", ".su", path)
         if su_path != path:
-            parse_su_file(analysis, su_path)
+            parse_su_file(analysis, obj_idx, su_path)
     demangle_all(analysis)
+    resolve_su_clones(analysis)
     prune_atexit_destructor_refs(analysis)
     return analysis
 
@@ -1021,6 +1081,40 @@ def run_fixture(path, tmpdir):
     return failures
 
 
+def check_clone_records(fixture_dir):
+    """clone_records.su holds .su records named after an IPA clone kind (the
+    first is GCC 12's record for a constprop clone of fairness.cpp's
+    run_cell); each must reach the frame of the clone symbol it belongs to,
+    and two clones of one kind in one object must not swap frames."""
+    analysis = Analysis()
+    symbols = {
+        "_ZN5qperc6runner12_GLOBAL__N_18run_cellERKNS0_12FairnessTaskERKNS0_12FairnessSpecERKNS_3web7WebsiteERNS_4core12TrialContextE.constprop.0":
+            "qperc::runner::(anonymous namespace)::run_cell(qperc::runner::FairnessTask const&, "
+            "qperc::runner::FairnessSpec const&, qperc::web::Website const&, "
+            "qperc::core::TrialContext&) [clone .constprop.0]",
+        "_ZN5qperc6runner12_GLOBAL__N_15mergeEm.constprop.0":
+            "qperc::runner::(anonymous namespace)::merge(unsigned long) [clone .constprop.0]",
+        # IPA-SRA may drop parameters, so its record need not list the
+        # symbol's parameter count.
+        "_ZN5qperc6runner12_GLOBAL__N_14scanEiii.isra.0":
+            "qperc::runner::(anonymous namespace)::scan(int, int, int) [clone .isra.0]",
+    }
+    for raw, demangled in symbols.items():
+        uid = analysis.uid(raw, 0, True)
+        analysis.symbols[uid] = {"section": ".text." + raw, "value": 0, "size": 1, "obj": 0,
+                                 "local": True, "weak": False, "func": True}
+        analysis.demangled[raw] = demangled
+    parse_su_file(analysis, 0, os.path.join(fixture_dir, "clone_records.su"))
+    resolve_su_clones(analysis)
+    want = {"qperc::runner::(anonymous namespace)::run_cell": 2096,
+            "qperc::runner::(anonymous namespace)::merge": 64,
+            "qperc::runner::(anonymous namespace)::scan": 48}
+    got = {key: analysis.su_bytes.get(key) for key in want}
+    if got != want:
+        return [f"clone_records.su: expected clone frames {want}, matched {got}"]
+    return []
+
+
 def run_self_test(fixture_dir):
     fixtures = sorted(
         os.path.join(fixture_dir, f) for f in os.listdir(fixture_dir)
@@ -1035,6 +1129,7 @@ def run_self_test(fixture_dir):
                 failures.extend(run_fixture(path, tmp))
             except (RuntimeError, ValueError) as e:
                 failures.append(str(e))
+    failures.extend(check_clone_records(fixture_dir))
     # Allowlist hygiene is part of the proof: entries without reasons must be
     # rejected, unknown rules must be rejected.
     try:

@@ -3,7 +3,8 @@
 # grid: job count must not change the exported bytes, a deterministic
 # interrupt (--max-cells) followed by --resume must land on the one-shot
 # bytes, shard halves merged by --report must land on the unsharded bytes,
-# and the CLI must reject malformed invocations.
+# and the CLI must reject malformed invocations (a run-only flag on --report
+# among them).
 #
 #   usage: fairness_smoke.sh /path/to/qperc
 set -euo pipefail
@@ -97,5 +98,12 @@ expect_usage_error fairness --runs 1 --sites wikipedia.org,wikipedia.org --out "
 expect_usage_error fairness --runs 1 --flows 0 --mix cubic,cubic --out "$WORKDIR/bad"
 expect_usage_error fairness --runs 1 --flows 0 --stagger-ms 0,0 --out "$WORKDIR/bad"
 expect_usage_error fairness --runs 1 --flows 0 --protocols QUIC,QUIC --out "$WORKDIR/bad"
+# --report only merges and prints: a flag that runs cells is bad input, as on
+# `campaign status`/`export`, even where the merge itself would succeed.
+for flag in "--shard 1/2" "--jobs 3" "--resume" "--checkpoint-every 2" "--retries 1" \
+            "--max-cells 1"; do
+  # shellcheck disable=SC2086  # the flag and its value are two words
+  expect_usage_error fairness "${SPEC[@]}" --report $flag --out "$WORKDIR/shards"
+done
 
 echo "fairness_smoke: OK"

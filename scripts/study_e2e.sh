@@ -3,8 +3,10 @@
 # population-scale streaming pipeline: job count must not change the exported
 # bytes, interrupt-then-resume must land on the uninterrupted bytes (and a
 # checkpoint with a tampered header must be refused), shard
-# splits merged by `study report` must land on the unsharded bytes, and the
-# CLI must reject malformed invocations.
+# splits merged by `study report` must land on the unsharded bytes, a study
+# must take its stimuli from the campaign store `campaign run` wrote into the
+# same --out without simulating them again, and the CLI must reject
+# malformed invocations.
 #
 #   usage: study_e2e.sh /path/to/qperc
 set -euo pipefail
@@ -21,6 +23,16 @@ SPEC=(--kind rating --group uworker --participants 2000 --seed 7 --sites 2 --run
 echo "== reference: uninterrupted --jobs 1 run"
 "$QPERC" study run "${SPEC[@]}" --jobs 1 --block-size 64 \
   --out "$WORKDIR/ref" --export "$WORKDIR/ref.txt" --quiet > /dev/null
+
+echo "== a study reuses the stimuli \`campaign run\` wrote into its --out"
+"$QPERC" campaign run --sites 2 --runs 2 --seed 7 --out "$WORKDIR/shared" --quiet 2> /dev/null
+"$QPERC" study run "${SPEC[@]}" --jobs 1 --block-size 64 --out "$WORKDIR/shared" \
+  --export "$WORKDIR/shared.txt" --quiet > /dev/null 2> "$WORKDIR/shared.log"
+grep -q "stimuli — 40 of 40 conditions reused, 0 executed" "$WORKDIR/shared.log" || {
+  echo "FAIL: the study simulated stimuli the campaign store already held" >&2
+  cat "$WORKDIR/shared.log" >&2; exit 1
+}
+cmp "$WORKDIR/ref.txt" "$WORKDIR/shared.txt"
 
 echo "== parallel run must export byte-identical results"
 "$QPERC" study run "${SPEC[@]}" --jobs 4 --block-size 64 \

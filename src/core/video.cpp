@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <istream>
 #include <limits>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "core/trial_context.hpp"
-#include "runner/executor.hpp"
-#include "util/durable_file.hpp"
 #include "util/rng.hpp"
 
 namespace qperc::core {
@@ -84,20 +83,13 @@ VideoLibrary::VideoLibrary(std::uint64_t catalog_seed, std::uint32_t runs,
       conditions_(conditions),
       catalog_(web::study_catalog(catalog_seed)) {}
 
-const web::Website& VideoLibrary::site_by_name(const std::string& name) const {
-  for (const auto& site : catalog_) {
-    if (site.name == name) return site;
-  }
-  throw std::invalid_argument("unknown site: " + name);
-}
-
 const Video& VideoLibrary::get(const std::string& site_name,
                                const std::string& protocol_name,
                                net::NetworkKind network) {
   const Key key{site_name, protocol_name, network};
   if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
 
-  const web::Website& site = site_by_name(site_name);
+  const web::Website& site = web::site_by_name(catalog_, site_name);
   const ProtocolConfig& protocol = protocol_by_name(protocol_name);
   net::NetworkProfile profile = net::profile_for(network);
   conditions_.apply(profile);
@@ -112,67 +104,11 @@ bool VideoLibrary::insert(Video video) {
   return cache_.emplace(std::move(key), std::move(video)).second;
 }
 
-void VideoLibrary::precompute(const std::vector<std::string>& sites,
-                              const std::vector<std::string>& protocols,
-                              const std::vector<net::NetworkKind>& networks) {
-  struct Task {
-    std::string site;
-    std::string protocol;
-    net::NetworkKind network;
-  };
-  std::vector<Task> tasks;
-  for (const auto& site : sites) {
-    for (const auto& protocol : protocols) {
-      for (const auto network : networks) {
-        const Key key{site, protocol, network};
-        if (!cache_.contains(key)) tasks.push_back(Task{site, protocol, network});
-      }
-    }
-  }
-  if (tasks.empty()) return;
-
-  // Each task writes into its own index-keyed slot, so the cache contents
-  // are independent of the worker count; seeds come from the condition
-  // identity alone.
-  std::vector<Video> videos(tasks.size());
-  const runner::Executor executor;
-  const auto failures = executor.run(tasks.size(), [&](std::size_t index) {
-    const Task& task = tasks[index];
-    const web::Website& site = site_by_name(task.site);
-    const ProtocolConfig& protocol = protocol_by_name(task.protocol);
-    net::NetworkProfile profile = net::profile_for(task.network);
-    conditions_.apply(profile);
-    const std::uint64_t base_seed =
-        condition_base_seed(catalog_seed_, task.site, task.protocol, task.network);
-    videos[index] = produce_video(site, protocol, profile, runs_, base_seed);
-  });
-
-  // Cache every completed condition before surfacing any failure, so a bad
-  // condition does not discard the finished work of the others.
-  std::size_t next_failure = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (next_failure < failures.size() && failures[next_failure].index == i) {
-      ++next_failure;
-      continue;
-    }
-    const Key key{tasks[i].site, tasks[i].protocol, tasks[i].network};
-    cache_.emplace(key, std::move(videos[i]));
-  }
-  if (!failures.empty()) std::rethrow_exception(failures.front().error);
-}
-
 namespace {
 
-constexpr const char* kCacheMagic = "qperc-video-cache-v3";
 /// Sanity cap when parsing: no recorded VC curve comes close to this many
 /// samples, so a larger count only ever means a corrupt file.
 constexpr std::size_t kMaxCurvePoints = 1'000'000;
-
-std::string cache_identity(std::uint64_t seed, std::uint32_t runs,
-                           const net::LinkConditions& conditions) {
-  return std::string(kCacheMagic) + ' ' + std::to_string(seed) + ' ' + std::to_string(runs) +
-         ' ' + conditions.token();
-}
 
 void write_metrics(std::ostream& os, const browser::PageMetrics& metrics) {
   os << metrics.first_visual_change.count() << ' ' << metrics.speed_index.count() << ' '
@@ -233,20 +169,6 @@ bool VideoCodec::read(std::istream& is, Video& video) {
     sample.time = SimTime{time};
   }
   return static_cast<bool>(is);
-}
-
-bool VideoLibrary::load_cache(const std::string& path) {
-  // Parsed fully before touching the live cache: a rejected file must not
-  // leave entries behind that precompute would treat as valid.
-  auto staged =
-      read_records<VideoCodec>(path, cache_identity(catalog_seed_, runs_, conditions_));
-  if (!staged) return false;
-  for (auto& [key, video] : *staged) cache_.insert_or_assign(key, std::move(video));
-  return true;
-}
-
-void VideoLibrary::save_cache(const std::string& path) const {
-  write_records<VideoCodec>(path, cache_identity(catalog_seed_, runs_, conditions_), cache_);
 }
 
 }  // namespace qperc::core

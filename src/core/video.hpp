@@ -35,9 +35,9 @@ struct Video {
 };
 
 /// The per-condition trial seed: a pure function of the master seed and the
-/// condition's identity — never of thread, shard, or completion order. Every
-/// execution path (VideoLibrary::get, precompute, the campaign runner) uses
-/// this one derivation, which is what makes their results bit-identical.
+/// condition's identity — never of thread, shard, or completion order. Both
+/// execution paths (VideoLibrary::get and the campaign runner) use this one
+/// derivation, which is what makes their results bit-identical.
 [[nodiscard]] std::uint64_t condition_base_seed(std::uint64_t catalog_seed,
                                                 std::string_view site,
                                                 std::string_view protocol,
@@ -52,12 +52,12 @@ struct Video {
                                   std::uint64_t base_seed,
                                   net::TransportStats* transport = nullptr);
 
-/// The (site, protocol, network) key both video stores sort by.
+/// The (site, protocol, network) key videos are stored and looked up by.
 using VideoKey = std::tuple<std::string, std::string, net::NetworkKind>;
 
-/// The record codec shared by the VideoLibrary cache and the campaign
-/// runner's ResultStore: one whitespace-separated line per Video, in files
-/// written by write_records (ARCHITECTURE.md, "Durable files").
+/// The record codec of the campaign runner's ResultStore: one
+/// whitespace-separated line per Video, in files written by write_records
+/// (ARCHITECTURE.md, "Durable files").
 struct VideoCodec {
   using Key = VideoKey;
   using Record = Video;
@@ -68,14 +68,16 @@ struct VideoCodec {
   [[nodiscard]] static bool read(std::istream& is, Video& video);
 };
 
-/// Lazily computes and caches videos for the whole study grid; the cache is
-/// what both user studies draw their stimuli from.
+/// The in-memory map of videos both user studies draw their stimuli from.
+/// Stimuli are produced by a campaign (runner::run_campaign) and adopted
+/// with runner::adopt_results; get() computes a missing condition itself.
 class VideoLibrary {
  public:
   /// `runs` trials per condition (the paper records at least 31). An
   /// optional LinkConditions overlay decorates every condition's profile
   /// (variable-rate downlink trace, token-bucket policer); it is part of
-  /// the cache identity, so caches never mix conditions.
+  /// the library's identity, so a campaign store under other conditions is
+  /// never adopted.
   VideoLibrary(std::uint64_t catalog_seed, std::uint32_t runs,
                net::LinkConditions conditions = {});
 
@@ -95,24 +97,6 @@ class VideoLibrary {
   /// already cached.
   bool insert(Video video);
 
-  /// Precomputes a set of conditions in parallel (runner::Executor, one
-  /// worker per hardware thread). Results are identical to sequential
-  /// get() calls. If a condition fails, the remaining conditions still
-  /// complete and are cached; the first failure is then rethrown.
-  void precompute(const std::vector<std::string>& sites,
-                  const std::vector<std::string>& protocols,
-                  const std::vector<net::NetworkKind>& networks);
-
-  [[nodiscard]] const web::Website& site_by_name(const std::string& name) const;
-
-  /// Loads previously saved videos; returns false (and leaves the cache
-  /// untouched) when the file fails the durable-file checks, is malformed,
-  /// or was produced with a different (seed, runs, conditions) identity.
-  bool load_cache(const std::string& path);
-  /// Persists every cached video for reuse by later runs as a durable file
-  /// (ARCHITECTURE.md, "Durable files"). Throws std::runtime_error when the
-  /// file cannot be written.
-  void save_cache(const std::string& path) const;
   [[nodiscard]] std::size_t cached_conditions() const { return cache_.size(); }
 
  private:

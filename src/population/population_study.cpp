@@ -40,7 +40,7 @@ struct RatingEntry {
   std::uint16_t net_slot = 0;  // index into networks_for_context(context)
 };
 
-/// One A/B stimulus pair with its pair and precomputed cell index.
+/// One A/B stimulus pair with its pair and cell index.
 struct AbEntry {
   const core::Video* first = nullptr;
   const core::Video* second = nullptr;
@@ -87,15 +87,10 @@ std::vector<std::string> stimulus_sites(const core::VideoLibrary& library,
 Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
   const std::vector<std::string> sites = stimulus_sites(library, spec);
 
-  // Warm the full condition grid in parallel once; afterwards the cache is
-  // read-only and safe to share across workers (std::map never rehashes, so
-  // the Video pointers below stay stable).
-  std::vector<std::string> protocol_names;
-  for (const auto& protocol : core::paper_protocols()) protocol_names.push_back(protocol.name);
-  std::vector<net::NetworkKind> networks;
-  for (const auto& profile : net::all_profiles()) networks.push_back(profile.kind);
-  library.precompute(sites, protocol_names, networks);
-
+  // Every stimulus is read here, before any worker starts (get() computes a
+  // condition the library lacks); afterwards the library is read-only and
+  // safe to share, and std::map never moves an element, so the Video
+  // pointers below stay stable.
   Pools pools;
   if (spec.kind == study::StudyKind::kRating) {
     const auto fill = [&](std::vector<RatingEntry>& pool, study::Context context) {

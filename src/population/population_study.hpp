@@ -14,9 +14,10 @@
 //     fixed-point count/sum/sum-of-squares). Memory is O(cells), not O(N).
 //     A run may also keep one VoteRecord per vote (RunOptions::keep_votes),
 //     for the figures that need raw votes; that costs O(votes).
-//   * Stimuli are the cached per-condition Videos of core::VideoLibrary;
-//     the trial simulation cost is paid once per condition and amortised
-//     over every participant.
+//   * Stimuli are the per-condition Videos of core::VideoLibrary, produced
+//     by a campaign (runner::run_campaign) and adopted from its store; the
+//     trial simulation cost is paid once per condition and amortised over
+//     every participant.
 //
 // Determinism contract: the accumulated numbers — and therefore the bytes
 // of write_report — are a pure function of the StudySpec. Job count, block
@@ -208,8 +209,11 @@ struct Report {
                                          unsigned shard_index, unsigned shard_count);
 
 /// Runs (this shard of) the streaming study against a shared video library.
-/// The library is warmed (precompute) on entry; workers then only read the
-/// cached stimuli. Throws on invalid spec/options or unwritable checkpoint.
+/// Every stimulus is read through library.get on entry, which simulates a
+/// condition the library lacks one at a time: adopt a campaign's results
+/// (runner::adopt_results) first to pay stimulus production in parallel and
+/// once. Workers then only read the stimuli. Throws on invalid spec/options
+/// or unwritable checkpoint.
 Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
                            const RunOptions& options = {});
 

@@ -1,5 +1,8 @@
 #include "runner/campaign.hpp"
 
+#include "core/protocol.hpp"
+#include "web/website.hpp"
+
 namespace qperc::runner {
 
 std::vector<CampaignTask> CampaignSpec::tasks() const {
@@ -23,6 +26,21 @@ std::vector<CampaignTask> CampaignSpec::tasks() const {
     }
   }
   return result;
+}
+
+CampaignSpec stimulus_spec(std::uint64_t seed, std::uint32_t runs, std::size_t sites,
+                           const net::LinkConditions& conditions) {
+  CampaignSpec spec;
+  for (const auto& site : web::study_site_specs()) {
+    if (spec.sites.size() >= sites) break;
+    spec.sites.push_back(site.name);
+  }
+  for (const auto& protocol : core::paper_protocols()) spec.protocols.push_back(protocol.name);
+  for (const auto& profile : net::all_profiles()) spec.networks.push_back(profile.kind);
+  spec.runs = runs;
+  spec.seed = seed;
+  spec.conditions = conditions;
+  return spec;
 }
 
 }  // namespace qperc::runner

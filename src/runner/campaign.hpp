@@ -45,4 +45,11 @@ struct CampaignSpec : GridAxes {
   [[nodiscard]] std::vector<CampaignTask> tasks() const;
 };
 
+/// The stimulus grid of the paper's studies: the first `sites` catalog sites
+/// (every site when the catalog is shorter) x the paper's protocols x every
+/// network, `runs` trials per condition, under the link-condition overlay.
+[[nodiscard]] CampaignSpec stimulus_spec(std::uint64_t seed, std::uint32_t runs,
+                                         std::size_t sites,
+                                         const net::LinkConditions& conditions = {});
+
 }  // namespace qperc::runner

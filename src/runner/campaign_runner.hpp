@@ -22,7 +22,8 @@ using CampaignOptions = GridOptions;
 
 /// Runs (the spec's shard of) the grid, skipping conditions already in the
 /// store, and checkpoints the store incrementally plus once at the end.
-/// Throws std::invalid_argument when the store's (seed, runs) pair does
+/// Every cell's profile carries the spec's link-condition overlay. Throws
+/// std::invalid_argument when the store's (seed, runs, conditions) does
 /// not match the spec. Task failures do not throw — they are captured in
 /// the report while the remaining tasks complete.
 GridReport<CampaignTask> run_campaign(const CampaignSpec& spec, ResultStore& store,
@@ -30,7 +31,8 @@ GridReport<CampaignTask> run_campaign(const CampaignSpec& spec, ResultStore& sto
 
 /// Copies every stored result into the library's in-memory cache (existing
 /// entries win). Returns the number of newly adopted conditions. Throws
-/// std::invalid_argument when store and library disagree on (seed, runs).
+/// std::invalid_argument when store and library disagree on (seed, runs,
+/// link conditions).
 std::size_t adopt_results(const ResultStore& store, core::VideoLibrary& library);
 
 }  // namespace qperc::runner

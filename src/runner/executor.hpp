@@ -5,13 +5,12 @@
 // from an atomic counter in index order; a task writes its result into a
 // caller-owned slot keyed by the task *index*, never by thread identity,
 // which is what keeps every higher-level result independent of the job
-// count. A throwing task no longer takes the process down (the old
-// VideoLibrary::precompute thread loop called std::terminate): the final
+// count. A throwing task does not take the process down: the final
 // attempt's std::exception_ptr is captured and returned so the caller
 // decides whether to rethrow, record, or retry the whole task elsewhere.
 //
-// Header-only leaf utility (std only), usable from any layer like
-// src/util — src/core uses it below the qperc_runner library.
+// Header-only leaf utility (std only): the grid runner (run_grid) and the
+// population engine use it.
 #pragma once
 
 #include <algorithm>

@@ -217,7 +217,7 @@ FairnessCell run_cell(const FairnessTask& task, const FairnessSpec& spec,
 FairnessCell run_fairness_cell(const FairnessTask& task, const FairnessSpec& spec) {
   const auto catalog = web::study_catalog(spec.seed);
   core::TrialContext context;
-  return run_cell(task, spec, grid_site(catalog, task.site), context);
+  return run_cell(task, spec, web::site_by_name(catalog, task.site), context);
 }
 
 GridReport<FairnessTask> run_fairness(const FairnessSpec& spec, FairnessStore& store,

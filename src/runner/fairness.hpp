@@ -52,9 +52,6 @@ struct FairnessSpec : GridAxes {
   /// On-off pattern shared by every cell (not axes; see ContentionConfig).
   std::uint64_t burst_bytes = 0;
   SimDuration off_time{0};
-  /// Variable-rate trace and policer overlay shared by every cell (not an
-  /// axis); the default leaves every profile untouched.
-  net::LinkConditions conditions{};
 
   /// Cells in the full grid across all shards.
   [[nodiscard]] std::size_t grid_size() const {

@@ -15,12 +15,4 @@ void GridAxes::validate() const {
   }
 }
 
-const web::Website& grid_site(const std::vector<web::Website>& catalog,
-                              const std::string& name) {
-  for (const auto& site : catalog) {
-    if (site.name == name) return site;
-  }
-  throw std::invalid_argument("unknown site: " + name);
-}
-
 }  // namespace qperc::runner

@@ -33,8 +33,8 @@
 namespace qperc::runner {
 
 /// The axes and knobs every grid shares: the (site, protocol, network)
-/// conditions, trials per cell, the master seed, and the shard this process
-/// runs. Grids add their own axes on top.
+/// conditions, trials per cell, the master seed, the link-condition overlay,
+/// and the shard this process runs. Grids add their own axes on top.
 struct GridAxes {
   std::vector<std::string> sites;
   std::vector<std::string> protocols;
@@ -43,6 +43,10 @@ struct GridAxes {
   std::uint32_t runs = 31;
   /// Master seed: keys the site catalog and every cell's base seed.
   std::uint64_t seed = 7;
+  /// Variable-rate trace and policer overlay applied to every cell's
+  /// network profile (not an axis); the default leaves every profile
+  /// untouched.
+  net::LinkConditions conditions{};
   /// `--shard i/n`: this process executes the cells with
   /// grid_index % shard_count == shard_index.
   unsigned shard_index = 0;
@@ -75,10 +79,6 @@ void check_axis(const std::vector<T>& values, const std::string& axis) {
     }
   }
 }
-
-/// The catalog site named `name`; std::invalid_argument when there is none.
-[[nodiscard]] const web::Website& grid_site(const std::vector<web::Website>& catalog,
-                                            const std::string& name);
 
 /// Durable, resumable keyed store of one grid's records: a durable file of
 /// key-sorted records (format and guarantees: ARCHITECTURE.md, "Durable
@@ -277,7 +277,7 @@ GridReport<typename Spec::Task> run_grid(const Spec& spec, Store& store,
   auto failures = executor.run(pending.size(), [&](std::size_t index) {
     const Task& task = pending[index];
     net::TransportStats ledger;
-    store.put(run_task(task, grid_site(catalog, task.site), ledger));
+    store.put(run_task(task, web::site_by_name(catalog, task.site), ledger));
 
     // Emitting under the lock serializes the callback and keeps the
     // snapshots in completion order.

@@ -37,36 +37,6 @@ double u128_to_double(std::uint64_t hi, std::uint64_t lo) {
 
 }  // namespace
 
-// ---- Welford ----------------------------------------------------------------
-
-void Welford::push(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void Welford::merge(const Welford& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n_total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ +
-         delta * delta * static_cast<double>(n_) * static_cast<double>(other.n_) / n_total;
-  mean_ += delta * static_cast<double>(other.n_) / n_total;
-  n_ += other.n_;
-}
-
-double Welford::sample_variance() const {
-  if (n_ < 2) return 0.0;
-  return std::max(0.0, m2_ / static_cast<double>(n_ - 1));
-}
-
-double Welford::sample_stddev() const { return std::sqrt(sample_variance()); }
-
 // ---- ExactMoments -----------------------------------------------------------
 
 void ExactMoments::push(double x) {
@@ -129,30 +99,8 @@ ConfidenceInterval moments_confidence_interval(double mean, double sample_varian
   return ConfidenceInterval{mean, crit * sem};
 }
 
-ConfidenceInterval mean_confidence_interval(const Welford& w, double level) {
-  return moments_confidence_interval(w.mean(), w.sample_variance(), w.count(), level);
-}
-
 ConfidenceInterval mean_confidence_interval(const ExactMoments& m, double level) {
   return moments_confidence_interval(m.mean(), m.sample_variance(), m.count(), level);
-}
-
-void JainAccumulator::push(double x) {
-  if (x < 0.0) x = 0.0;  // same clamp as the batch helper
-  ++n_;
-  sum_ += x;
-  sumsq_ += x * x;
-}
-
-void JainAccumulator::merge(const JainAccumulator& other) {
-  n_ += other.n_;
-  sum_ += other.sum_;
-  sumsq_ += other.sumsq_;
-}
-
-double JainAccumulator::index() const {
-  if (n_ == 0 || sumsq_ == 0.0) return 1.0;
-  return sum_ * sum_ / (static_cast<double>(n_) * sumsq_);
 }
 
 TwoSampleResult welch_t_test(double mean_a, double var_a, std::uint64_t n_a, double mean_b,
@@ -180,11 +128,6 @@ TwoSampleResult welch_t_test(double mean_a, double var_a, std::uint64_t n_a, dou
   result.p_value = 2.0 * (1.0 - student_t_cdf(std::fabs(result.t_statistic), result.df));
   result.p_value = std::clamp(result.p_value, 0.0, 1.0);
   return result;
-}
-
-TwoSampleResult welch_t_test(const Welford& a, const Welford& b) {
-  return welch_t_test(a.mean(), a.sample_variance(), a.count(), b.mean(),
-                      b.sample_variance(), b.count());
 }
 
 TwoSampleResult welch_t_test(const ExactMoments& a, const ExactMoments& b) {

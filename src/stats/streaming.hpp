@@ -2,14 +2,8 @@
 //
 // The batch toolkit in stats.hpp materializes every observation; these
 // accumulators fold an unbounded stream into O(1) state so 10M-rater studies
-// never hold a per-participant vector. Two accumulator flavours, with an
-// explicit contract each:
+// never hold a per-participant vector.
 //
-//   * Welford — the classic single-pass mean/variance recurrence with Chan's
-//     parallel merge. Numerically stable and exactly matches the batch
-//     formulas in exact arithmetic, but in floating point the merge is only
-//     associative up to rounding: merging A+(B+C) and (A+B)+C can differ in
-//     the last bits. Use it wherever tolerance-level agreement suffices.
 //   * ExactMoments — quantizes each observation to a 2^-20 fixed-point grid
 //     once at push() time and then accumulates pure integer sums (count,
 //     sum, sum of squares in 128 bits). Integer addition is associative and
@@ -21,7 +15,7 @@
 //
 // Inference helpers (confidence intervals, Welch's two-sample t, Wilson
 // proportion intervals, minimum detectable effect) take plain moments, so
-// both accumulators (and the batch functions) feed the same code paths.
+// the accumulator and the batch functions feed the same code paths.
 #pragma once
 
 #include <cstdint>
@@ -29,30 +23,6 @@
 #include "stats/stats.hpp"
 
 namespace qperc::stats {
-
-// ---- Welford / Chan ---------------------------------------------------------
-
-/// Single-pass mean/variance accumulator (Welford's recurrence) with Chan's
-/// parallel merge. O(1) state; see the header comment for the merge contract.
-class Welford {
- public:
-  void push(double x);
-  /// Folds another accumulator in (Chan's parallel update). Associative and
-  /// commutative up to floating-point rounding.
-  void merge(const Welford& other);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance (n-1 denominator); 0 for n < 2, matching
-  /// stats::sample_variance.
-  [[nodiscard]] double sample_variance() const;
-  [[nodiscard]] double sample_stddev() const;
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 // ---- Exact fixed-point moments ---------------------------------------------
 
@@ -92,29 +62,6 @@ class ExactMoments {
   std::uint64_t sumsq_lo_ = 0;
 };
 
-// ---- Streaming Jain's fairness index ---------------------------------------
-
-/// Folds per-flow allocations into the three sums Jain's index needs
-/// (n, sum x, sum x^2). merge() is plain addition, so shard-local
-/// accumulators combine in any grouping or order and index() matches the
-/// batch stats::jain_fairness_index on the same data up to floating-point
-/// associativity of the sums (bit-exact when merged in stream order).
-class JainAccumulator {
- public:
-  void push(double x);
-  void merge(const JainAccumulator& other);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  /// Same degenerate-input convention as stats::jain_fairness_index:
-  /// empty or all-zero streams are "nothing to share" and index 1.
-  [[nodiscard]] double index() const;
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double sumsq_ = 0.0;
-};
-
 // ---- Inference from streamed moments ---------------------------------------
 
 /// Student-t confidence interval for a mean given streamed moments; matches
@@ -122,7 +69,6 @@ class JainAccumulator {
 [[nodiscard]] ConfidenceInterval moments_confidence_interval(double mean,
                                                              double sample_variance,
                                                              std::uint64_t n, double level);
-[[nodiscard]] ConfidenceInterval mean_confidence_interval(const Welford& w, double level);
 [[nodiscard]] ConfidenceInterval mean_confidence_interval(const ExactMoments& m,
                                                           double level);
 
@@ -138,7 +84,6 @@ struct TwoSampleResult {
 
 [[nodiscard]] TwoSampleResult welch_t_test(double mean_a, double var_a, std::uint64_t n_a,
                                            double mean_b, double var_b, std::uint64_t n_b);
-[[nodiscard]] TwoSampleResult welch_t_test(const Welford& a, const Welford& b);
 [[nodiscard]] TwoSampleResult welch_t_test(const ExactMoments& a, const ExactMoments& b);
 
 /// Two-proportion z test (pooled standard error) from streaming counts —

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 namespace qperc::web {
 
@@ -284,6 +285,13 @@ std::vector<Website> study_catalog(std::uint64_t seed) {
     catalog.push_back(generate_site(spec, master.fork(spec.name)));
   }
   return catalog;
+}
+
+const Website& site_by_name(const std::vector<Website>& catalog, const std::string& name) {
+  for (const auto& site : catalog) {
+    if (site.name == name) return site;
+  }
+  throw std::invalid_argument("unknown site '" + name + "' — see `qperc catalog`");
 }
 
 const std::vector<std::string>& lab_study_domains() {

@@ -73,6 +73,10 @@ struct SiteSpec {
 /// The 36 study sites (paper: 40 minus 4 unreplayable/private, §3).
 [[nodiscard]] const std::vector<SiteSpec>& study_site_specs();
 [[nodiscard]] std::vector<Website> study_catalog(std::uint64_t seed);
+/// The site named `name` in `catalog`; std::invalid_argument when there is
+/// none.
+[[nodiscard]] const Website& site_by_name(const std::vector<Website>& catalog,
+                                          const std::string& name);
 
 /// The five-domain subset used in the controlled lab study (§4.1).
 [[nodiscard]] const std::vector<std::string>& lab_study_domains();

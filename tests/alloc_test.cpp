@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,18 +36,10 @@ constexpr std::uint64_t kMaxAllocationsPerTrial = 50;
 constexpr int kMeasuredTrials = 50;
 constexpr int kWarmupTrials = 3;
 
-const web::Website& site_by_name(const std::vector<web::Website>& catalog,
-                                 const std::string& name) {
-  for (const auto& site : catalog) {
-    if (site.name == name) return site;
-  }
-  throw std::runtime_error("site not in catalog: " + name);
-}
-
 std::uint64_t steady_state_allocs_per_trial(const std::string& protocol_name,
                                             const net::ContentionConfig& contention = {}) {
   const auto catalog = web::study_catalog(7);
-  const web::Website& site = site_by_name(catalog, "apache.org");
+  const web::Website& site = web::site_by_name(catalog, "apache.org");
   const auto& protocol = core::protocol_by_name(protocol_name);
   const net::NetworkProfile profile = net::dsl_profile();
 

@@ -1,18 +1,12 @@
 // Core tests: Table-1 protocol configs, trial determinism, video selection.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/protocol.hpp"
 #include "core/video.hpp"
 #include "net/profile.hpp"
-#include "util/durable_file.hpp"
 #include "web/website.hpp"
 
 namespace qperc::core {
@@ -111,142 +105,11 @@ TEST(VideoLibrary, CachesAndIsConsistent) {
   EXPECT_EQ(first.protocol, "QUIC");
 }
 
-TEST(VideoLibrary, PrecomputeMatchesLazyCompute) {
-  VideoLibrary lazy(7, 3);
-  VideoLibrary eager(7, 3);
-  eager.precompute({"gov.uk"}, {"TCP", "QUIC"}, {net::NetworkKind::kLte});
-  EXPECT_DOUBLE_EQ(lazy.get("gov.uk", "TCP", net::NetworkKind::kLte).metrics.si_ms(),
-                   eager.get("gov.uk", "TCP", net::NetworkKind::kLte).metrics.si_ms());
-  EXPECT_DOUBLE_EQ(lazy.get("gov.uk", "QUIC", net::NetworkKind::kLte).metrics.si_ms(),
-                   eager.get("gov.uk", "QUIC", net::NetworkKind::kLte).metrics.si_ms());
-}
-
 TEST(VideoLibrary, UnknownSiteThrows) {
   VideoLibrary library(7, 2);
-  EXPECT_THROW(static_cast<void>(library.site_by_name("not-a-site.test")), std::invalid_argument);
-}
-
-TEST(VideoLibrary, CacheRoundTrips) {
-  const std::string path = "/tmp/qperc_test_cache_roundtrip.cache";
-  VideoLibrary writer(7, 2);
-  const auto& original = writer.get("gov.uk", "QUIC", net::NetworkKind::kDsl);
-  writer.save_cache(path);
-
-  VideoLibrary reader(7, 2);
-  ASSERT_TRUE(reader.load_cache(path));
-  EXPECT_EQ(reader.cached_conditions(), 1u);
-  const auto& loaded = reader.get("gov.uk", "QUIC", net::NetworkKind::kDsl);
-  EXPECT_EQ(loaded.site, original.site);
-  EXPECT_EQ(loaded.protocol, original.protocol);
-  EXPECT_EQ(loaded.runs, original.runs);
-  EXPECT_DOUBLE_EQ(loaded.metrics.si_ms(), original.metrics.si_ms());
-  EXPECT_DOUBLE_EQ(loaded.mean_metrics.plt_ms(), original.mean_metrics.plt_ms());
-  EXPECT_DOUBLE_EQ(loaded.mean_retransmissions, original.mean_retransmissions);
-  ASSERT_EQ(loaded.vc_curve.size(), original.vc_curve.size());
-  for (std::size_t i = 0; i < loaded.vc_curve.size(); ++i) {
-    EXPECT_EQ(loaded.vc_curve[i].time, original.vc_curve[i].time);
-    EXPECT_DOUBLE_EQ(loaded.vc_curve[i].completeness, original.vc_curve[i].completeness);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(VideoLibrary, CacheRejectsMismatchedParameters) {
-  const std::string path = "/tmp/qperc_test_cache_mismatch.cache";
-  VideoLibrary writer(7, 2);
-  (void)writer.get("gov.uk", "TCP", net::NetworkKind::kDsl);
-  writer.save_cache(path);
-
-  VideoLibrary other_runs(7, 3);
-  EXPECT_FALSE(other_runs.load_cache(path));
-  VideoLibrary other_seed(8, 2);
-  EXPECT_FALSE(other_seed.load_cache(path));
-  VideoLibrary missing(7, 2);
-  EXPECT_FALSE(missing.load_cache("/tmp/does_not_exist.qperc"));
-  std::remove(path.c_str());
-}
-
-TEST(VideoLibrary, CorruptOrTruncatedCacheLeavesLibraryUntouched) {
-  const std::string path = "/tmp/qperc_test_cache_corrupt.cache";
-  VideoLibrary writer(7, 2);
-  (void)writer.get("gov.uk", "QUIC", net::NetworkKind::kDsl);
-  (void)writer.get("gov.uk", "TCP", net::NetworkKind::kLte);
-  writer.save_cache(path);
-
-  std::string good;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    good = buffer.str();
-  }
-  ASSERT_FALSE(good.empty());
-
-  // Truncate mid-record: load_cache must fail WITHOUT leaving the partial
-  // prefix in the cache (the old implementation kept whatever parsed).
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << good.substr(0, good.size() / 2);
-  }
-  VideoLibrary truncated_reader(7, 2);
-  (void)truncated_reader.get("wikipedia.org", "QUIC", net::NetworkKind::kDsl);
-  EXPECT_FALSE(truncated_reader.load_cache(path));
-  EXPECT_EQ(truncated_reader.cached_conditions(), 1u);  // only the precomputed one
-
-  // Change one digit of the first record to another digit: the record still
-  // parses, so only the checksum can catch it.
-  std::string corrupt = good;
-  const auto payload = corrupt.find('\n') + 1;
-  const auto digit = corrupt.find('\n', payload) - 1;  // last VC sample value
-  ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(corrupt[digit])));
-  corrupt[digit] = corrupt[digit] == '9' ? '8' : '9';
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << corrupt;
-  }
-  VideoLibrary corrupt_reader(7, 2);
-  EXPECT_FALSE(corrupt_reader.load_cache(path));
-  EXPECT_EQ(corrupt_reader.cached_conditions(), 0u);
-
-  // The same condition twice, under a valid checksum and a matching count.
-  writer.save_cache(path);
-  const auto saved = read_durable(path, "qperc-video-cache-v3");
-  ASSERT_TRUE(saved.has_value());
-  const std::string first_record = saved->payload.substr(0, saved->payload.find('\n') + 1);
-  write_durable(path, saved->header, first_record + first_record);
-  VideoLibrary duplicate_reader(7, 2);
-  EXPECT_FALSE(duplicate_reader.load_cache(path));
-  EXPECT_EQ(duplicate_reader.cached_conditions(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(VideoLibrary, SaveCacheIsAtomic) {
-  const std::string path = "/tmp/qperc_test_cache_atomic.cache";
-  VideoLibrary writer(7, 2);
-  (void)writer.get("gov.uk", "QUIC", net::NetworkKind::kDsl);
-  writer.save_cache(path);
-  // The temp file used for the atomic rename never survives.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  VideoLibrary reader(7, 2);
-  EXPECT_TRUE(reader.load_cache(path));
-  std::remove(path.c_str());
-
-  // A write that cannot happen throws instead of returning silently.
-  const auto missing_dir = std::filesystem::temp_directory_path() / "qperc_no_such_cache_dir";
-  std::filesystem::remove_all(missing_dir);
-  EXPECT_THROW(writer.save_cache((missing_dir / "videos.qvc").string()), std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(missing_dir));
-}
-
-TEST(VideoLibrary, PrecomputeReportsFailureAfterCachingTheRest) {
-  VideoLibrary library(7, 2);
-  // The old thread loop called std::terminate on a throwing condition;
-  // now the good conditions are cached and the failure surfaces as an
-  // exception after the batch completes.
-  EXPECT_THROW(library.precompute({"gov.uk", "not-a-site.test"}, {"QUIC"},
-                                  {net::NetworkKind::kDsl}),
+  EXPECT_THROW(static_cast<void>(library.get("not-a-site.test", "QUIC", net::NetworkKind::kDsl)),
                std::invalid_argument);
-  EXPECT_EQ(library.cached_conditions(), 1u);
-  EXPECT_EQ(library.get("gov.uk", "QUIC", net::NetworkKind::kDsl).site, "gov.uk");
+  EXPECT_EQ(library.cached_conditions(), 0u);
 }
 
 TEST(Video, ConditionBaseSeedIsStableAndDistinct) {

@@ -2,8 +2,8 @@
 //
 //   * determinism — cell results are byte-identical across --jobs, across
 //     shard splits merged in any order, and across kill/resume cycles,
-//   * Jain's index — the batch helper and the streaming accumulator agree,
-//     and both honor the index's defining properties,
+//   * Jain's index — the batch helper honors the index's defining
+//     properties,
 //   * compatibility — a flows=0 cell reproduces the legacy single-connection
 //     topology draw for draw,
 //   * robustness — the reordering+contention torture cell stays live and
@@ -26,7 +26,6 @@
 #include "runner/fairness.hpp"
 #include "runner/torture.hpp"
 #include "stats/stats.hpp"
-#include "stats/streaming.hpp"
 #include "util/durable_file.hpp"
 #include "util/rng.hpp"
 #include "web/website.hpp"
@@ -70,54 +69,6 @@ TEST(JainIndex, ScaleInvariantAndBounded) {
 TEST(JainIndex, NegativeInputsClampToZero) {
   EXPECT_DOUBLE_EQ(stats::jain_fairness_index(std::vector<double>{5.0, -5.0}),
                    stats::jain_fairness_index(std::vector<double>{5.0, 0.0}));
-}
-
-TEST(JainAccumulator, MatchesBatchComputation) {
-  Rng rng(23);
-  std::vector<double> xs;
-  stats::JainAccumulator acc;
-  for (int i = 0; i < 200; ++i) {
-    const double x = rng.exponential(1.5);
-    xs.push_back(x);
-    acc.push(x);
-  }
-  EXPECT_EQ(acc.count(), 200u);
-  EXPECT_NEAR(acc.index(), stats::jain_fairness_index(xs), 1e-12);
-}
-
-TEST(JainAccumulator, MergeIsOrderIndependentAndMatchesBatch) {
-  Rng rng(31);
-  std::vector<double> xs;
-  for (int i = 0; i < 90; ++i) xs.push_back(rng.exponential(2.0));
-
-  stats::JainAccumulator whole;
-  stats::JainAccumulator a;
-  stats::JainAccumulator b;
-  stats::JainAccumulator c;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    whole.push(xs[i]);
-    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).push(xs[i]);
-  }
-  stats::JainAccumulator abc = a;
-  abc.merge(b);
-  abc.merge(c);
-  stats::JainAccumulator cba = c;
-  cba.merge(b);
-  cba.merge(a);
-
-  EXPECT_EQ(abc.count(), whole.count());
-  EXPECT_EQ(cba.count(), whole.count());
-  EXPECT_NEAR(abc.index(), whole.index(), 1e-12);
-  EXPECT_NEAR(cba.index(), whole.index(), 1e-12);
-  EXPECT_NEAR(whole.index(), stats::jain_fairness_index(xs), 1e-12);
-}
-
-TEST(JainAccumulator, DegenerateStatesAreFair) {
-  stats::JainAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.index(), 1.0);
-  acc.push(0.0);
-  acc.push(-1.0);  // clamped to 0, same as the batch helper
-  EXPECT_DOUBLE_EQ(acc.index(), 1.0);
 }
 
 // --- record / store round-trips ---------------------------------------------

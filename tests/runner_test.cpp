@@ -127,6 +127,16 @@ FairnessSpec tiny_fairness_spec() {
   return spec;
 }
 
+/// The LTE-trace + policer overlay of the study smoke test.
+net::LinkConditions lte_policed() {
+  net::LinkConditions conditions;
+  conditions.link_trace = net::RateSchedule::Kind::kLteTrace;
+  conditions.link_trace_seed = 3;
+  conditions.policer_rate = DataRate::megabits_per_second(4);
+  conditions.policer_burst_bytes = 32 * 1024;
+  return conditions;
+}
+
 TEST(CampaignSpec, ValidateRejectsDegenerateGrids) {
   EXPECT_NO_THROW(tiny_spec().validate());
   auto no_sites = tiny_spec();
@@ -151,6 +161,18 @@ TEST(CampaignSpec, ValidateRejectsDegenerateGrids) {
   auto repeated_flows = tiny_fairness_spec();
   repeated_flows.flow_counts = {0, 0};
   EXPECT_THROW(repeated_flows.validate(), std::invalid_argument);
+}
+
+TEST(CampaignSpec, StimulusSpecIsThePaperGridOverTheFirstSites) {
+  const auto spec = stimulus_spec(7, 2, 5, lte_policed());
+  EXPECT_EQ(spec.sites, web::lab_study_domains());  // the first five catalog sites
+  EXPECT_EQ(spec.protocols.size(), core::paper_protocols().size());
+  EXPECT_EQ(spec.networks.size(), net::all_profiles().size());
+  EXPECT_EQ(spec.runs, 2u);
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_EQ(spec.conditions.token(), lte_policed().token());
+  // A budget past the catalog takes every site once.
+  EXPECT_EQ(stimulus_spec(7, 2, 1000).sites.size(), web::study_site_specs().size());
 }
 
 TEST(CampaignSpec, ShardsPartitionTheGrid) {
@@ -202,6 +224,12 @@ core::Video make_video(const std::string& site, const std::string& protocol,
   throw std::invalid_argument("site not in catalog: " + site);
 }
 
+std::string record_of(const core::Video& video) {
+  std::ostringstream os;
+  core::VideoCodec::write(os, video);
+  return os.str();
+}
+
 TEST(ResultStore, RoundTripsThroughDisk) {
   const std::string path = temp_path("qperc_store_roundtrip.qcr");
   std::remove(path.c_str());
@@ -224,7 +252,10 @@ TEST(ResultStore, RoundTripsThroughDisk) {
     EXPECT_EQ(video.runs, original.runs);
     EXPECT_DOUBLE_EQ(video.metrics.si_ms(), original.metrics.si_ms());
     EXPECT_DOUBLE_EQ(video.mean_metrics.plt_ms(), original.mean_metrics.plt_ms());
+    EXPECT_DOUBLE_EQ(video.mean_retransmissions, original.mean_retransmissions);
     ASSERT_EQ(video.vc_curve.size(), original.vc_curve.size());
+    // Every field, VC samples included, survives the disk round trip.
+    EXPECT_EQ(record_of(video), record_of(original));
   });
   std::remove(path.c_str());
 }
@@ -324,7 +355,86 @@ TEST(ResultStore, AutoCheckpointsEveryNputsAtomically) {
   std::remove(path.c_str());
 }
 
+TEST(ResultStore, UnconditionedHeaderIsUnchangedAndOverlaysAppendTheirToken) {
+  const std::string path = temp_path("qperc_store_header.qcr");
+  std::remove(path.c_str());
+  {
+    ResultStore writer(path, 7, 2);
+    writer.put(make_video("gov.uk", "QUIC", net::NetworkKind::kDsl));
+    writer.checkpoint();
+  }
+  auto saved = read_durable(path, ResultStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  EXPECT_EQ(saved->header, "qperc-campaign-v4 7 2 1");
+
+  ResultStore conditioned(path, 7, 2, 25, lte_policed());
+  conditioned.put(make_video("gov.uk", "QUIC", net::NetworkKind::kDsl));
+  conditioned.checkpoint();
+  saved = read_durable(path, ResultStore::kMagic);
+  ASSERT_TRUE(saved.has_value());
+  EXPECT_EQ(saved->header, "qperc-campaign-v4 7 2 " + lte_policed().token() + " 1");
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, ConditionedAndUnconditionedStoresRefuseEachOther) {
+  const std::string plain_path = temp_path("qperc_store_plain.qcr");
+  const std::string cond_path = temp_path("qperc_store_cond.qcr");
+  auto plain_spec = tiny_spec();
+  plain_spec.sites = {"wikipedia.org"};
+  plain_spec.protocols = {"QUIC"};
+  plain_spec.networks = {net::NetworkKind::kLte};
+  auto cond_spec = plain_spec;
+  cond_spec.conditions = lte_policed();
+  for (const auto& path : {plain_path, cond_path}) std::remove(path.c_str());
+  ResultStore plain(plain_path, plain_spec.seed, plain_spec.runs);
+  ResultStore cond(cond_path, cond_spec.seed, cond_spec.runs, 25, cond_spec.conditions);
+  ASSERT_TRUE(run_campaign(plain_spec, plain).failures.empty());
+  ASSERT_TRUE(run_campaign(cond_spec, cond).failures.empty());
+
+  // Neither file loads under the other's identity, and neither spec runs
+  // into the other's store.
+  ResultStore plain_reader(cond_path, plain_spec.seed, plain_spec.runs);
+  EXPECT_FALSE(plain_reader.load());
+  ResultStore cond_reader(plain_path, cond_spec.seed, cond_spec.runs, 25, cond_spec.conditions);
+  EXPECT_FALSE(cond_reader.load());
+  EXPECT_THROW(static_cast<void>(run_campaign(plain_spec, cond)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(run_campaign(cond_spec, plain)), std::invalid_argument);
+
+  // A library adopts only the store of its own link conditions.
+  core::VideoLibrary plain_library(plain_spec.seed, plain_spec.runs);
+  core::VideoLibrary cond_library(cond_spec.seed, cond_spec.runs, cond_spec.conditions);
+  EXPECT_THROW(static_cast<void>(adopt_results(cond, plain_library)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(adopt_results(plain, cond_library)), std::invalid_argument);
+  EXPECT_EQ(adopt_results(cond, cond_library), 1u);
+  EXPECT_EQ(adopt_results(plain, plain_library), 1u);
+  for (const auto& path : {plain_path, cond_path}) std::remove(path.c_str());
+}
+
 // --- Campaign ---------------------------------------------------------------
+
+TEST(Campaign, OverlaidCellStoresWhatTheLibraryComputesUnderTheOverlay) {
+  const std::string path = temp_path("qperc_campaign_overlay.qcr");
+  std::remove(path.c_str());
+  auto spec = tiny_spec();
+  spec.sites = {"wikipedia.org"};
+  spec.protocols = {"QUIC"};
+  spec.networks = {net::NetworkKind::kLte};
+  spec.conditions = lte_policed();
+  ResultStore store(path, spec.seed, spec.runs, 25, spec.conditions);
+  ASSERT_TRUE(run_campaign(spec, store).failures.empty());
+  ASSERT_EQ(store.size(), 1u);
+
+  core::VideoLibrary library(spec.seed, spec.runs, spec.conditions);
+  core::VideoLibrary plain(spec.seed, spec.runs);
+  store.for_each([&](const core::Video& video) {
+    EXPECT_EQ(record_of(video),
+              record_of(library.get(video.site, video.protocol, video.network)));
+    // The overlay reached the trials: the unconditioned stimulus differs.
+    EXPECT_NE(record_of(video), record_of(plain.get(video.site, video.protocol, video.network)));
+  });
+  std::remove(path.c_str());
+}
+
 
 TEST(Campaign, StoreBytesAreIdenticalAcrossJobCounts) {
   const std::string path1 = temp_path("qperc_campaign_jobs1.qcr");

@@ -26,10 +26,7 @@ namespace {
 
 const web::Website& site_by_name(const std::string& name) {
   static const auto catalog = web::study_catalog(7);
-  for (const auto& site : catalog) {
-    if (site.name == name) return site;
-  }
-  throw std::runtime_error("site not in catalog: " + name);
+  return web::site_by_name(catalog, name);
 }
 
 TEST(TraceModel, EveryEventTypeHasCategoryAndName) {

@@ -54,14 +54,6 @@ const net::NetworkProfile& network_by_name(const std::string& name) {
   throw std::invalid_argument("unknown network '" + name + "' (DSL, LTE, DA2GC, MSS)");
 }
 
-const web::Website& site_by_name(const std::vector<web::Website>& catalog,
-                                 const std::string& name) {
-  for (const auto& site : catalog) {
-    if (site.name == name) return site;
-  }
-  throw std::invalid_argument("unknown site '" + name + "' — see `qperc catalog`");
-}
-
 /// --runs as a trial count: at least one (the u32 kind already rejects a
 /// value that would wrap, 2^32 to zero).
 std::uint32_t runs_arg(const Args& args, std::uint32_t fallback) {
@@ -325,7 +317,7 @@ int cmd_networks(const Args& /*args*/) {
 
 int cmd_trial(const Args& args) {
   const auto catalog = resolve_catalog(args, args.u64("--seed", 7));
-  const web::Website& site = site_by_name(catalog, args.get("--site", "wikipedia.org"));
+  const web::Website& site = web::site_by_name(catalog, args.get("--site", "wikipedia.org"));
   const auto& protocol = core::protocol_by_name(args.get("--protocol", "QUIC"));
   const net::NetworkProfile profile =
       apply_profile_overrides(network_by_name(args.get("--network", "DSL")), args);
@@ -530,6 +522,13 @@ void print_population_summary(const population::StudySpec& spec,
   }
 }
 
+/// `study run`/`study report`'s default --out, where `qperc study` keeps its
+/// stimuli too.
+constexpr std::string_view kStudyOut = "out/study";
+
+core::VideoLibrary study_stimuli(const population::StudySpec& spec,
+                                 const std::string& out_dir, unsigned jobs);
+
 /// `qperc study`: one paper-size cohort (Table 3's initial count for the
 /// group and kind) run in memory on the streaming engine.
 int cmd_study(const Args& args) {
@@ -540,7 +539,7 @@ int cmd_study(const Args& args) {
   spec.seed = args.u64("--seed", 7);
   spec.sites = args.u64("--sites", 36);
   spec.video_runs = runs_arg(args, 31);
-  core::VideoLibrary library(spec.seed, spec.video_runs);
+  auto library = study_stimuli(spec, std::string(kStudyOut), 0);
   print_population_summary(spec, population::run_streaming_study(library, spec).accumulator);
   return 0;
 }
@@ -555,7 +554,7 @@ int cmd_study_run(const Args& args) {
   options.checkpoint_every_blocks = args.u64("--checkpoint-every", 64);
   options.resume = args.has("--resume");
   args.shard(options.shard_index, options.shard_count);
-  const std::string out_dir = args.get("--out", "out/study");
+  const std::string out_dir = args.get("--out", kStudyOut);
   std::filesystem::create_directories(out_dir);
   options.checkpoint_path = out_dir + "/" +
                             shard_file_name(population_prefix(spec), options.shard_index,
@@ -571,21 +570,9 @@ int cmd_study_run(const Args& args) {
     };
   }
 
-  core::VideoLibrary library(spec.seed, spec.video_runs, spec.conditions);
-  // Stimulus production dominates cold-start cost (the whole grid is
-  // simulated once); persist the condition cache so reruns, resumes, and
-  // sibling shards pay it only once per (seed, runs, link conditions).
-  const std::string cache_path = out_dir + "/videos_seed" + std::to_string(spec.seed) +
-                                 "_runs" + std::to_string(spec.video_runs) +
-                                 link_conditions_file_tag(spec.conditions) + ".qvc";
-  if (library.load_cache(cache_path)) {
-    std::cerr << "study: reusing " << library.cached_conditions()
-              << " cached condition videos from " << cache_path << "\n";
-  }
-  const std::size_t cached_before = library.cached_conditions();
+  auto library = study_stimuli(spec, out_dir, options.jobs);
   const auto report = population::run_streaming_study(library, spec, options);
   if (options.on_progress) std::cerr << "\n";
-  if (library.cached_conditions() != cached_before) library.save_cache(cache_path);
 
   std::cerr << "study: " << report.blocks_done << "/" << report.owned_blocks
             << " blocks (" << report.resumed_blocks << " resumed), "
@@ -611,7 +598,7 @@ int cmd_study_run(const Args& args) {
 
 int cmd_study_report(const Args& args) {
   const auto spec = population_spec_from_args(args);
-  const std::string out_dir = args.get("--out", "out/study");
+  const std::string out_dir = args.get("--out", kStudyOut);
   const auto layout = population::make_accumulator(spec.kind);
 
   // Candidate shard files share the identity prefix (any shard geometry).
@@ -796,17 +783,12 @@ bool run_grid_command(const Args& args, const GridCommand& grid, const Spec& spe
 }
 
 /// Builds the grid spec shared by campaign run/status/export: the default
-/// is the full paper grid (all sites x 5 protocols x 4 networks).
+/// is the full paper grid (all sites x 5 protocols x 4 networks), the grid
+/// the studies draw their stimuli from.
 runner::CampaignSpec spec_from_args(const Args& args) {
-  runner::CampaignSpec spec;
-  for (const auto& protocol : core::paper_protocols()) spec.protocols.push_back(protocol.name);
-  for (const auto& profile : net::all_profiles()) spec.networks.push_back(profile.kind);
+  auto spec = runner::stimulus_spec(args.u64("--seed", 7), runs_arg(args, 31),
+                                    args.u64("--sites", 36));
   grid_from_args(args, spec);
-  const std::size_t site_budget = args.u64("--sites", 36);
-  for (const auto& site : web::study_catalog(spec.seed)) {
-    if (spec.sites.size() >= site_budget) break;
-    spec.sites.push_back(site.name);
-  }
   spec.validate();
   return spec;
 }
@@ -836,6 +818,38 @@ int cmd_campaign_run(const Args& args) {
   runner::ResultStore store(grid_store_path(kCampaign, spec, out_dir), spec.seed, spec.runs,
                             args.u64("--checkpoint-every", 25));
   return run_grid_command(args, kCampaign, spec, store, runner::run_campaign) ? 0 : 1;
+}
+
+/// The study's stimuli, from the campaign store in `out_dir` that `campaign
+/// run --out` writes (campaign_seed<S>_runs<R><link tag>.qcr): the conditions
+/// the store lacks run into it first as a campaign, checkpointed, so
+/// stimulus production is paid once per (seed, runs, link conditions) and a
+/// killed run keeps every finished condition.
+core::VideoLibrary study_stimuli(const population::StudySpec& spec,
+                                 const std::string& out_dir, unsigned jobs) {
+  const auto grid =
+      runner::stimulus_spec(spec.seed, spec.video_runs, spec.sites, spec.conditions);
+  std::filesystem::create_directories(out_dir);
+  runner::ResultStore store(out_dir + "/" + grid_prefix(kCampaign, grid) +
+                                link_conditions_file_tag(grid.conditions) +
+                                std::string(kCampaign.ext),
+                            grid.seed, grid.runs, 25, grid.conditions);
+  static_cast<void>(store.load());
+  const auto tasks = grid.tasks();
+  std::size_t executed = 0;
+  // A complete store is only read: sibling study shards may share it.
+  if (!std::ranges::all_of(tasks, [&](const auto& task) { return store.contains(task.key()); })) {
+    runner::GridOptions options;
+    options.jobs = jobs;
+    const auto report = runner::run_campaign(grid, store, options);
+    if (!report.failures.empty()) std::rethrow_exception(report.failures.front().error);
+    executed = report.executed;
+  }
+  std::cerr << "study: stimuli — " << tasks.size() - executed << " of " << tasks.size()
+            << " conditions reused, " << executed << " executed, in " << store.path() << "\n";
+  core::VideoLibrary library(spec.seed, spec.video_runs, spec.conditions);
+  runner::adopt_results(store, library);
+  return library;
 }
 
 int cmd_campaign_status(const Args& args) {
@@ -894,7 +908,7 @@ runner::FairnessSpec fairness_spec_from_args(const Args& args) {
   grid_from_args(args, spec);
   const auto catalog = web::study_catalog(spec.seed);
   for (const auto& name : args.list("--sites", catalog.front().name)) {
-    spec.sites.push_back(site_by_name(catalog, name).name);
+    spec.sites.push_back(web::site_by_name(catalog, name).name);
   }
   for (const auto& text : args.list("--flows", "16")) {
     spec.flow_counts.push_back(parse_number<std::uint32_t>(text, "--flows"));
@@ -959,6 +973,13 @@ int cmd_fairness(const Args& args) {
   // --report: merge every compatible checkpoint in --out and print/export
   // without running anything (the multi-shard rendezvous).
   if (args.has("--report")) {
+    for (const char* flag : {"--shard", "--jobs", "--resume", "--checkpoint-every",
+                             "--retries", "--max-cells"}) {
+      if (args.has(flag)) {
+        throw std::invalid_argument(std::string(flag) + " only applies to running cells; " +
+                                    "--report merges and prints them");
+      }
+    }
     runner::FairnessStore merged(grid_store_path(kFairness, spec, out_dir), spec.seed,
                                  spec.runs, spec.fingerprint());
     const std::size_t absorbed =
@@ -1014,7 +1035,7 @@ int cmd_bench_throughput(const Args& args) {
   // The page stays the default catalog's (or --catalog's) whatever --seed
   // says: --seed sets only the first trial seed.
   const auto catalog = resolve_catalog(args, 7);
-  const web::Website& site = site_by_name(catalog, args.get("--site", "apache.org"));
+  const web::Website& site = web::site_by_name(catalog, args.get("--site", "apache.org"));
   const auto& protocol = core::protocol_by_name(args.get("--protocol", "QUIC"));
   const net::NetworkProfile& profile = network_by_name(args.get("--network", "DSL"));
   const std::uint64_t trials = args.u64("--trials", 2000);
