@@ -26,11 +26,12 @@ int main(int argc, char** argv) {
     TextTable table({"Protocol", "SI", "PLT", "mean rating (10-70)", "verdict"});
     for (const auto& protocol : core::paper_protocols()) {
       const auto& video = library.get(site, protocol.name, network);
+      const study::RatingStimulus stimulus = study::rating_stimulus(video);
       double sum = 0.0;
       constexpr int kPanel = 200;
       for (int i = 0; i < kPanel; ++i) {
         auto participant = study::sample_participant(study::Group::kMicroworker, rng);
-        sum += study::rate_video(video, study::Context::kPlane, participant, rng);
+        sum += study::rate_video(stimulus, study::Context::kPlane, participant, rng);
       }
       const double mean_vote = sum / kPanel;
       const char* verdict = mean_vote >= 50   ? "good"

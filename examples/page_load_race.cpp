@@ -74,12 +74,13 @@ int main(int argc, char** argv) {
 
   // Ask a small panel of simulated participants the study question.
   Rng rng(123);
+  const study::PairStimulus pair = study::pair_stimulus(video_a, video_b);
   int first = 0;
   int second = 0;
   int neither = 0;
   for (int i = 0; i < 100; ++i) {
     const auto participant = study::sample_participant(study::Group::kMicroworker, rng);
-    const auto vote = study::ab_vote(video_a, video_b, participant, rng);
+    const auto vote = study::ab_vote(pair, participant, rng);
     first += vote.choice == study::AbChoice::kFirst;
     second += vote.choice == study::AbChoice::kSecond;
     neither += vote.choice == study::AbChoice::kNoDifference;

@@ -5,15 +5,19 @@
 #   * the full paper grid (720 conditions) as a campaign, then `campaign
 #     export` and `campaign status`;
 #   * a sharded fairness grid (2 sites x TCP,QUIC x DSL,LTE x flows 0,4 x
-#     mixed, 2 runs) as --shard 0/2 and 1/2, then `--report --export`.
-# It byte-compares the .qcr/.qfr stores, the exports, the status and report
-# text and the commands' stderr (elapsed seconds masked), then checks that
+#     mixed, 2 runs) as --shard 0/2 and 1/2, then `--report --export`;
+#   * the A/B and the rating study (`study run --kind ab|rating`, 20000
+#     participants, 2 sites x 2 runs, seed 7) with `--export`.
+# It byte-compares the .qcr/.qfr/.qps stores, the exports, the status and
+# report text, the studies' stdout and the commands' stderr (elapsed
+# seconds masked), then checks that
 # the working tree resumes REV's stores with nothing left to run. A change
 # that claims to be bit-exact must pass.
 #
 #   scripts/compare_exports.sh REV [--runs N] [--seed K] [--jobs J]
 #
-# Defaults: --runs 31 --seed 7 --jobs 4 (--runs sizes the campaign only).
+# Defaults: --runs 31 --seed 7 --jobs 4 (--runs sizes the campaign only;
+# the studies always use seed 7).
 # Prints each side's campaign wall and CPU seconds, then one line per
 # compared file; exits 0 when all are identical, 1 otherwise. REV is any
 # git revision of this repository; it is exported with `git archive`, so
@@ -58,6 +62,7 @@ build "$ROOT" "$WORK/head-build"
 GRID=(--runs "$RUNS" --seed "$SEED")
 FAIR=(--sites wikipedia.org,apache.org --protocols TCP,QUIC --networks DSL,LTE
       --flows 0,4 --mix mixed --runs 2 --seed "$SEED")
+STUDY=(--participants 20000 --sites 2 --runs 2 --seed 7)
 for side in base head; do
   qperc="$WORK/$side-build/tools/qperc"
   # Relative paths, so both sides print the same text.
@@ -75,7 +80,12 @@ for side in base head; do
   done
   "$qperc" fairness "${FAIR[@]}" --report --export fairness.txt --out fairness \
     > report.txt 2>> fairness.log
-  sed -i -E 's/ in [0-9.]+ s$/ in - s/' campaign.log fairness.log
+  for kind in ab rating; do
+    echo "== $side: study run --kind $kind ${STUDY[*]}"
+    "$qperc" study run --kind "$kind" "${STUDY[@]}" --jobs "$JOBS" --quiet --out study \
+      --export "study_$kind.txt" > "study_$kind.out" 2>> study.log
+  done
+  sed -i -E 's/ in [0-9.]+ s$/ in - s/' campaign.log fairness.log study.log
 done
 cd "$WORK"
 
@@ -106,5 +116,5 @@ if [ "$(grep -c ' 0 executed, 0 failed' resume.log)" -ne 3 ]; then
   cat resume.log >&2
   status=1
 fi
-[ "$status" -eq 0 ] && echo "all grid outputs identical ($(($(wc -l < head/export.csv) - 1)) conditions)"
+[ "$status" -eq 0 ] && echo "all grid and study outputs identical ($(($(wc -l < head/export.csv) - 1)) conditions)"
 exit "$status"

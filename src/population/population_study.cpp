@@ -31,19 +31,24 @@ std::size_t rating_cell_base(study::Context context) {
   return static_cast<std::size_t>(context) * kRatingCellsPerContext;
 }
 
-/// One rating stimulus: a cached video plus its position in the cell grid.
-/// The same entry serves the work and free-time contexts (they share the
-/// DSL/LTE networks); the cell index is context-rebased at vote time.
+/// One rating stimulus: a cached video, the rater's constants for it, and
+/// its position in the cell grid. The same entry serves the work and
+/// free-time contexts (they share the DSL/LTE networks); the cell index is
+/// context-rebased at vote time.
 struct RatingEntry {
   const core::Video* video = nullptr;
+  study::RatingStimulus stimulus;
   std::uint16_t protocol = 0;  // index into core::paper_protocols()
   std::uint16_t net_slot = 0;  // index into networks_for_context(context)
 };
 
-/// One A/B stimulus pair with its pair and cell index.
+/// One A/B stimulus pair with the rater's constants for both screen orders
+/// and its pair and cell index.
 struct AbEntry {
   const core::Video* first = nullptr;
   const core::Video* second = nullptr;
+  study::PairStimulus forward;  // first shown on the left
+  study::PairStimulus swapped;  // second shown on the left
   std::uint32_t pair = 0;  // index into study::ab_pairs()
   std::uint32_t cell = 0;
 };
@@ -90,17 +95,20 @@ Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
   // Every stimulus is read here, before any worker starts (get() computes a
   // condition the library lacks); afterwards the library is read-only and
   // safe to share, and std::map never moves an element, so the Video
-  // pointers below stay stable.
+  // pointers below stay stable. The rater's per-stimulus constants are
+  // computed here too, once per entry rather than once per vote.
   Pools pools;
   if (spec.kind == study::StudyKind::kRating) {
     const auto fill = [&](std::vector<RatingEntry>& pool, study::Context context) {
       const auto& context_networks = study::networks_for_context(context);
+      pool.reserve(sites.size() * core::paper_protocols().size() * context_networks.size());
       for (const auto& site : sites) {
         for (std::size_t p = 0; p < core::paper_protocols().size(); ++p) {
           for (std::size_t slot = 0; slot < context_networks.size(); ++slot) {
             const core::Video& video =
                 library.get(site, core::paper_protocols()[p].name, context_networks[slot]);
-            pool.push_back(RatingEntry{&video, static_cast<std::uint16_t>(p),
+            pool.push_back(RatingEntry{&video, study::rating_stimulus(video),
+                                       static_cast<std::uint16_t>(p),
                                        static_cast<std::uint16_t>(slot)});
           }
         }
@@ -109,6 +117,7 @@ Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
     fill(pools.fast, study::Context::kWork);
     fill(pools.plane, study::Context::kPlane);
   } else {
+    pools.ab.reserve(study::ab_pairs().size() * net::all_profiles().size() * sites.size());
     for (std::size_t p = 0; p < study::ab_pairs().size(); ++p) {
       const auto& [proto_a, proto_b] = study::ab_pairs()[p];
       for (std::size_t slot = 0; slot < net::all_profiles().size(); ++slot) {
@@ -117,7 +126,8 @@ Pools build_pools(core::VideoLibrary& library, const StudySpec& spec) {
           const core::Video& first = library.get(site, proto_a, network);
           const core::Video& second = library.get(site, proto_b, network);
           pools.ab.push_back(AbEntry{
-              &first, &second, static_cast<std::uint32_t>(p),
+              &first, &second, study::pair_stimulus(first, second),
+              study::pair_stimulus(second, first), static_cast<std::uint32_t>(p),
               static_cast<std::uint32_t>(p * net::all_profiles().size() + slot)});
         }
       }
@@ -181,7 +191,7 @@ void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
           context == study::Context::kPlane ? ctx.pools->plane : ctx.pools->fast;
       const std::size_t base = rating_cell_base(context);
       sample_without_replacement(pool, count, scratch, rng, [&](const RatingEntry& entry) {
-        const double vote = study::rate_video(*entry.video, context, participant, rng);
+        const double vote = study::rate_video(entry.stimulus, context, participant, rng);
         const double seconds = rng.normal(ctx.params->seconds_per_video_rating, 3.0);
         acc.rating_cells[base + entry.protocol * 2 + entry.net_slot].votes.push(vote);
         acc.seconds.push(seconds);
@@ -198,8 +208,7 @@ void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
         // Left/right randomisation; map the answer back to the pair order.
         const bool swapped = rng.bernoulli(0.5);
         const study::AbVote vote =
-            swapped ? study::ab_vote(*entry.second, *entry.first, participant, rng)
-                    : study::ab_vote(*entry.first, *entry.second, participant, rng);
+            study::ab_vote(swapped ? entry.swapped : entry.forward, participant, rng);
         study::AbChoice choice = vote.choice;
         if (swapped) {
           if (choice == study::AbChoice::kFirst) {
@@ -312,6 +321,7 @@ void Accumulator::reset_counts() {
 Accumulator make_accumulator(study::StudyKind kind) {
   Accumulator acc;
   if (kind == study::StudyKind::kRating) {
+    acc.rating_cells.reserve(kContexts.size() * kRatingCellsPerContext);
     for (const study::Context context : kContexts) {
       for (const auto& protocol : core::paper_protocols()) {
         for (const net::NetworkKind network : study::networks_for_context(context)) {
@@ -321,6 +331,7 @@ Accumulator make_accumulator(study::StudyKind kind) {
     }
     QPERC_CHECK_EQ(acc.rating_cells.size(), kContexts.size() * kRatingCellsPerContext);
   } else {
+    acc.ab_cells.reserve(study::ab_pairs().size() * net::all_profiles().size());
     for (std::size_t p = 0; p < study::ab_pairs().size(); ++p) {
       for (const auto& profile : net::all_profiles()) {
         AbCell cell;

@@ -17,7 +17,10 @@
 //   * Stimuli are the per-condition Videos of core::VideoLibrary, produced
 //     by a campaign (runner::run_campaign) and adopted from its store; the
 //     trial simulation cost is paid once per condition and amortised over
-//     every participant.
+//     every participant. So are the rater's perceptual constants: each pool
+//     entry carries its study::RatingStimulus (or, for an A/B pair, one
+//     study::PairStimulus per screen order), computed once when the pools
+//     are built, and a vote only adds the participant's draws to them.
 //
 // Determinism contract: the accumulated numbers — and therefore the bytes
 // of write_report — are a pure function of the StudySpec. Job count, block
@@ -209,10 +212,11 @@ struct Report {
                                          unsigned shard_index, unsigned shard_count);
 
 /// Runs (this shard of) the streaming study against a shared video library.
-/// Every stimulus is read through library.get on entry, which simulates a
-/// condition the library lacks one at a time: adopt a campaign's results
-/// (runner::adopt_results) first to pay stimulus production in parallel and
-/// once. Workers then only read the stimuli. Throws on invalid spec/options
+/// Every stimulus is read through library.get on entry (and its perceptual
+/// constants computed), which simulates a condition the library lacks one
+/// at a time: adopt a campaign's results (runner::adopt_results) first to
+/// pay stimulus production in parallel and once. Workers then only read the
+/// stimuli. Throws on invalid spec/options
 /// or unwritable checkpoint.
 Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
                            const RunOptions& options = {});

@@ -33,6 +33,16 @@ double context_tolerance(Context context) {
 
 double safe_seconds(double ms) { return std::max(ms / 1000.0, 1e-3); }
 
+/// Content appeal: people cannot fully separate "how fast did it load" from
+/// "how much do I like this page"; each site carries a stable rating offset.
+/// This constant-variance bias weakens metric-vs-vote correlations on fast
+/// networks (small metric spread) far more than on slow ones — the
+/// per-column trend of Figure 6.
+double site_appeal(const std::string& site_name) {
+  Rng rng(fnv1a(site_name) ^ 0x5ee7a11aULL);
+  return rng.normal(0.0, 4.0);
+}
+
 }  // namespace
 
 double perceived_duration_seconds(const browser::PageMetrics& metrics) {
@@ -51,18 +61,18 @@ double ideal_rating(const browser::PageMetrics& metrics, Context context) {
   return std::clamp(raw, 10.0, 70.0);
 }
 
-/// Content appeal: people cannot fully separate "how fast did it load" from
-/// "how much do I like this page"; each site carries a stable rating offset.
-/// This constant-variance bias weakens metric-vs-vote correlations on fast
-/// networks (small metric spread) far more than on slow ones — the
-/// per-column trend of Figure 6.
-double site_appeal(const std::string& site_name) {
-  Rng rng(fnv1a(site_name) ^ 0x5ee7a11aULL);
-  return rng.normal(0.0, 4.0);
+RatingStimulus rating_stimulus(const core::Video& video) {
+  RatingStimulus stimulus;
+  for (const Context context : {Context::kWork, Context::kFreeTime, Context::kPlane}) {
+    stimulus.ideal[static_cast<std::size_t>(context)] = ideal_rating(video.metrics, context);
+  }
+  stimulus.appeal = site_appeal(video.site);
+  return stimulus;
 }
 
-double rate_video(const core::Video& video, Context context,
+double rate_video(const RatingStimulus& stimulus, Context context,
                   const Participant& participant, Rng& rng) {
+  const double ideal = stimulus.ideal[static_cast<std::size_t>(context)];
   if (participant.cheater) {
     // Voluntary (Internet) careless raters straight-line near an anchor —
     // this multimodal contamination is what breaks the group's normality
@@ -72,17 +82,28 @@ double rate_video(const core::Video& video, Context context,
     }
     // Paid crowd cheaters who survive the control checks were paying some
     // attention: shrunk sensitivity and doubled noise, but not uniform.
-    const double lazy = 0.6 * ideal_rating(video.metrics, context) + 0.4 * 40.0;
+    const double lazy = 0.6 * ideal + 0.4 * 40.0;
     return std::clamp(lazy + rng.normal(0.0, 10.0), 10.0, 70.0);
   }
-  const double rating = ideal_rating(video.metrics, context) + site_appeal(video.site) +
-                        participant.rating_bias +
+  const double rating = ideal + stimulus.appeal + participant.rating_bias +
                         rng.normal(0.0, participant.vote_noise_sd);
   return std::clamp(rating, 10.0, 70.0);
 }
 
-AbVote ab_vote(const core::Video& first, const core::Video& second,
-               const Participant& participant, Rng& rng) {
+PairStimulus pair_stimulus(const core::Video& first, const core::Video& second) {
+  PairStimulus pair;
+  // The additive floor makes sub-second absolute differences hard to spot
+  // regardless of their ratio.
+  pair.evidence =
+      std::log(perceived_duration_seconds(second.metrics) + kPerceptionFloorSeconds) -
+      std::log(perceived_duration_seconds(first.metrics) + kPerceptionFloorSeconds);
+  // Replays: the harder the call (small evidence), the more often people
+  // rewind — the paper observes more replays on the fast networks (§4.2).
+  pair.difficulty = std::exp(-16.0 * std::fabs(pair.evidence));
+  return pair;
+}
+
+AbVote ab_vote(const PairStimulus& pair, const Participant& participant, Rng& rng) {
   AbVote vote;
   if (participant.cheater) {
     const auto pick = rng.uniform_int(0, 2);
@@ -94,26 +115,15 @@ AbVote ab_vote(const core::Video& first, const core::Video& second,
     return vote;
   }
 
-  // Evidence: log ratio of floor-shifted perceived durations; positive =>
-  // first is faster. The additive floor makes sub-second absolute
-  // differences hard to spot regardless of their ratio.
-  const double evidence =
-      std::log(perceived_duration_seconds(second.metrics) + kPerceptionFloorSeconds) -
-      std::log(perceived_duration_seconds(first.metrics) + kPerceptionFloorSeconds);
-  const double observed = evidence + rng.normal(0.0, participant.observation_noise);
-
+  const double observed = pair.evidence + rng.normal(0.0, participant.observation_noise);
   if (std::fabs(observed) < participant.jnd) {
     vote.choice = AbChoice::kNoDifference;
   } else {
     vote.choice = observed > 0 ? AbChoice::kFirst : AbChoice::kSecond;
   }
   vote.confidence = std::clamp(std::fabs(observed) / (2.0 * participant.jnd), 0.0, 1.0);
-
-  // Replays: the harder the call (small evidence), the more often people
-  // rewind — the paper observes more replays on the fast networks (§4.2).
-  const double difficulty = std::exp(-16.0 * std::fabs(evidence));
   const double lambda =
-      std::clamp(3.0 * difficulty * participant.replay_scale, 0.05, 3.5);
+      std::clamp(3.0 * pair.difficulty * participant.replay_scale, 0.05, 3.5);
   vote.replays = static_cast<std::uint32_t>(rng.poisson(lambda));
   return vote;
 }

@@ -2,6 +2,7 @@
 // "video" into a 10..70 quality vote (Study 2) or an A/B choice (Study 1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "core/video.hpp"
@@ -16,14 +17,26 @@ namespace qperc::study {
 /// why the paper finds SI correlating best and PLT worst, Figure 6.)
 [[nodiscard]] double perceived_duration_seconds(const browser::PageMetrics& metrics);
 
+/// Deterministic part of the rating model (no bias/noise).
+[[nodiscard]] double ideal_rating(const browser::PageMetrics& metrics, Context context);
+
+/// What the rating model reads of one video. It depends on the video alone,
+/// never on the participant, so a study computes it once per stimulus and
+/// every vote on that video reuses it.
+struct RatingStimulus {
+  /// ideal_rating(video.metrics, context), indexed by Context.
+  std::array<double, 3> ideal{};
+  /// The site's content-appeal offset (rating points).
+  double appeal = 0.0;
+};
+
+[[nodiscard]] RatingStimulus rating_stimulus(const core::Video& video);
+
 /// Absolute quality rating on the paper's seven-point linear 10..70 scale
 /// (extremely bad .. ideal), via a Weber–Fechner law with context-dependent
 /// tolerance plus participant bias/noise. Cheaters answer uniformly.
-[[nodiscard]] double rate_video(const core::Video& video, Context context,
+[[nodiscard]] double rate_video(const RatingStimulus& stimulus, Context context,
                                 const Participant& participant, Rng& rng);
-
-/// Deterministic part of the rating model (no bias/noise), for tests.
-[[nodiscard]] double ideal_rating(const browser::PageMetrics& metrics, Context context);
 
 enum class AbChoice { kFirst, kNoDifference, kSecond };
 
@@ -35,9 +48,22 @@ struct AbVote {
   std::uint32_t replays = 0;
 };
 
+/// What the A/B model reads of two videos shown side by side, in screen
+/// order. Like RatingStimulus it is computed once per stimulus; each screen
+/// order of a pair is its own stimulus (pair_stimulus(second, first)).
+struct PairStimulus {
+  /// Log ratio of floor-shifted perceived durations; positive => the first
+  /// video is faster.
+  double evidence = 0.0;
+  /// exp(-16 |evidence|): near 1 for a hard call, which drives replays.
+  double difficulty = 0.0;
+};
+
+[[nodiscard]] PairStimulus pair_stimulus(const core::Video& first, const core::Video& second);
+
 /// Just-noticeable-difference vote between two videos shown side by side.
-[[nodiscard]] AbVote ab_vote(const core::Video& first, const core::Video& second,
-                             const Participant& participant, Rng& rng);
+[[nodiscard]] AbVote ab_vote(const PairStimulus& pair, const Participant& participant,
+                             Rng& rng);
 
 /// A/B votes folded for one Figure-4 cell (or one of its sites).
 struct AbAggregate {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include <unistd.h>
+
 #include "util/rng.hpp"
 
 namespace qperc {
@@ -20,6 +22,10 @@ std::string footer_for(std::string_view guarded) {
 
 }  // namespace
 
+std::string durable_temp_path(const std::string& path) {
+  return path + ".tmp." + std::to_string(::getpid());
+}
+
 void write_durable(const std::string& path, std::string_view header,
                    std::string_view payload) {
   if (header.find('\n') != std::string_view::npos ||
@@ -31,7 +37,7 @@ void write_durable(const std::string& path, std::string_view header,
   contents.append(1, '\n').append(payload);
   contents.append(footer_for(contents)).append(1, '\n');
 
-  const std::string temp_path = path + ".tmp";
+  const std::string temp_path = durable_temp_path(path);
   std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot create " + temp_path);
   out.write(contents.data(), static_cast<std::streamsize>(contents.size()));

@@ -6,12 +6,13 @@
 // lines), and a footer line holding the 16-hex-digit FNV-1a of the header
 // line, its '\n' and the payload. The header's first token is the format
 // magic; the rest of the header and the payload belong to the store. A
-// write replaces the file atomically through a sibling temp file and
-// rename. A read rejects any file that is missing, has a different magic,
-// lacks a well-formed footer, fails the checksum, or carries bytes after
-// the footer. Because the header is inside the checksum, no field of a
-// store file can change undetected. Layout and per-store headers:
-// ARCHITECTURE.md, "Durable files".
+// write replaces the file atomically through a sibling temp file, one per
+// process, and rename, so when two processes write one file at once the
+// last complete write wins. A read rejects any file that is missing, has a
+// different magic, lacks a well-formed footer, fails the checksum, or
+// carries bytes after the footer. Because the header is inside the
+// checksum, no field of a store file can change undetected. Layout and
+// per-store headers: ARCHITECTURE.md, "Durable files".
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,11 @@ struct DurableContents {
   std::string header;   ///< the header line, magic included, without '\n'
   std::string payload;  ///< everything between the header and the footer
 };
+
+/// The sibling temp file write_durable stages `path` in: `<path>.tmp.<pid>`.
+/// Each process has its own, so concurrent writers never truncate or rename
+/// each other's half-written file.
+[[nodiscard]] std::string durable_temp_path(const std::string& path);
 
 /// Atomically replaces `path` with `header` + payload + checksum footer.
 /// `header` must be one line and `payload` empty or '\n'-terminated

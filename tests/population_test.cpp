@@ -86,6 +86,22 @@ TEST(PopulationStudy, AbExportIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(report_bytes(spec, a.accumulator), report_bytes(spec, b.accumulator));
 }
 
+// The tests above compare runs of one build with each other; this one pins
+// the report bytes themselves, so a change to the vote stream (a reordered
+// draw, a rewritten rater formula) fails even when it is job-independent.
+// A deliberate change to the stimuli or the rater model re-pins both values.
+TEST(PopulationStudy, ReportBytesArePinned) {
+  RunOptions options;
+  options.jobs = 2;
+  for (const auto& [kind, expected] :
+       {std::pair{study::StudyKind::kAb, std::uint64_t{0x213e7c1bc07abfc7}},
+        std::pair{study::StudyKind::kRating, std::uint64_t{0x533e94eeaffda30a}}}) {
+    const StudySpec spec = small_spec(kind, 20000);
+    const std::uint64_t hash = fnv1a(report_bytes(spec, run(spec, options).accumulator));
+    EXPECT_EQ(hash, expected) << kind_token(kind) << " report hash 0x" << std::hex << hash;
+  }
+}
+
 TEST(PopulationStudy, ShardSplitsMergeToTheUnshardedBytesInAnyOrder) {
   const StudySpec spec = small_spec(study::StudyKind::kRating, 2000);
   RunOptions whole;

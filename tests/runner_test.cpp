@@ -351,7 +351,7 @@ TEST(ResultStore, AutoCheckpointsEveryNputsAtomically) {
   EXPECT_TRUE(reader.load());
   EXPECT_EQ(reader.size(), 1u);
   // The atomic write never leaves its temp file behind.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(durable_temp_path(path)));
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,8 @@
 // paper's two studies run end to end on the population engine.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <map>
 
 #include "core/video.hpp"
@@ -29,6 +31,10 @@ core::Video video_with_si(double si_ms) {
   core::Video video;
   video.metrics = metrics_with_si(si_ms);
   return video;
+}
+
+PairStimulus pair_with_si(double first_si_ms, double second_si_ms) {
+  return pair_stimulus(video_with_si(first_si_ms), video_with_si(second_si_ms));
 }
 
 Participant attentive_participant() {
@@ -70,11 +76,37 @@ TEST(Rater, PlaneContextIsMoreLenient) {
             ideal_rating(metrics_with_si(8000), Context::kWork));
 }
 
+// The study engine computes each stimulus's constants once and every vote
+// reads them, so they must equal, bit for bit, what the per-vote formulas
+// give.
+TEST(Rater, StimulusConstantsEqualThePerVoteFormulas) {
+  constexpr std::array<double, 9> kSiMs = {1.0,    300.0,    1000.0,   1500.0,    1550.0,
+                                           3000.0, 10'000.0, 40'000.0, 10'000'000.0};
+  const auto sign = [](double x) { return (x > 0.0) - (x < 0.0); };
+  for (const double si : kSiMs) {
+    const core::Video video = video_with_si(si);
+    const RatingStimulus stimulus = rating_stimulus(video);
+    for (const Context context : {Context::kWork, Context::kFreeTime, Context::kPlane}) {
+      EXPECT_EQ(stimulus.ideal[static_cast<std::size_t>(context)],
+                ideal_rating(video.metrics, context))
+          << si << ' ' << to_string(context);
+    }
+    for (const double other : kSiMs) {
+      const PairStimulus forward = pair_with_si(si, other);
+      const PairStimulus swapped = pair_with_si(other, si);
+      EXPECT_EQ(forward.difficulty, std::exp(-16.0 * std::fabs(forward.evidence)))
+          << si << " vs " << other;
+      EXPECT_EQ(sign(forward.evidence), -sign(swapped.evidence)) << si << " vs " << other;
+    }
+  }
+}
+
 TEST(Rater, RateVideoAddsBiasAndClamps) {
   Rng rng(1);
   Participant participant = attentive_participant();
   participant.rating_bias = 200.0;  // absurd bias must clamp at 70
-  EXPECT_DOUBLE_EQ(rate_video(video_with_si(1000), Context::kWork, participant, rng), 70.0);
+  EXPECT_DOUBLE_EQ(
+      rate_video(rating_stimulus(video_with_si(1000)), Context::kWork, participant, rng), 70.0);
 }
 
 TEST(Rater, AbVotePrefersClearlyFasterVideo) {
@@ -82,8 +114,7 @@ TEST(Rater, AbVotePrefersClearlyFasterVideo) {
   const Participant participant = attentive_participant();
   int first_votes = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto vote =
-        ab_vote(video_with_si(1000), video_with_si(2000), participant, rng);
+    const auto vote = ab_vote(pair_with_si(1000, 2000), participant, rng);
     first_votes += vote.choice == AbChoice::kFirst;
   }
   EXPECT_GT(first_votes, 95);
@@ -94,8 +125,7 @@ TEST(Rater, AbVoteMostlyNoDifferenceWhenIdentical) {
   const Participant participant = attentive_participant();
   int no_diff = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto vote =
-        ab_vote(video_with_si(1500), video_with_si(1500), participant, rng);
+    const auto vote = ab_vote(pair_with_si(1500, 1500), participant, rng);
     no_diff += vote.choice == AbChoice::kNoDifference;
   }
   EXPECT_GT(no_diff, 90);
@@ -106,8 +136,7 @@ TEST(Rater, AbVoteSymmetry) {
   const Participant participant = attentive_participant();
   int second_votes = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto vote =
-        ab_vote(video_with_si(2000), video_with_si(1000), participant, rng);
+    const auto vote = ab_vote(pair_with_si(2000, 1000), participant, rng);
     second_votes += vote.choice == AbChoice::kSecond;
   }
   EXPECT_GT(second_votes, 95);
@@ -119,10 +148,8 @@ TEST(Rater, ConfidenceHigherForLargerDifferences) {
   double confidence_small = 0.0;
   double confidence_large = 0.0;
   for (int i = 0; i < 200; ++i) {
-    confidence_small +=
-        ab_vote(video_with_si(1500), video_with_si(1600), participant, rng).confidence;
-    confidence_large +=
-        ab_vote(video_with_si(1000), video_with_si(3000), participant, rng).confidence;
+    confidence_small += ab_vote(pair_with_si(1500, 1600), participant, rng).confidence;
+    confidence_large += ab_vote(pair_with_si(1000, 3000), participant, rng).confidence;
   }
   EXPECT_GT(confidence_large, confidence_small);
 }
@@ -133,8 +160,8 @@ TEST(Rater, MoreReplaysWhenDifferenceIsSubtle) {
   double replays_subtle = 0.0;
   double replays_obvious = 0.0;
   for (int i = 0; i < 300; ++i) {
-    replays_subtle += ab_vote(video_with_si(1500), video_with_si(1550), participant, rng).replays;
-    replays_obvious += ab_vote(video_with_si(1000), video_with_si(4000), participant, rng).replays;
+    replays_subtle += ab_vote(pair_with_si(1500, 1550), participant, rng).replays;
+    replays_obvious += ab_vote(pair_with_si(1000, 4000), participant, rng).replays;
   }
   EXPECT_GT(replays_subtle, replays_obvious * 2);
 }

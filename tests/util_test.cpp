@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "util/args.hpp"
 #include "util/durable_file.hpp"
 #include "util/function.hpp"
@@ -317,7 +319,7 @@ TEST(DurableFile, RoundTripsHeaderAndPayload) {
   ASSERT_TRUE(bare.has_value());
   EXPECT_EQ(bare->header, kTestMagic);
   EXPECT_EQ(bare->payload, "");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(durable_temp_path(path)));
   std::remove(path.c_str());
 }
 
@@ -382,16 +384,16 @@ TEST(DurableFile, FailedWriteLeavesTargetUnchangedAndNoTemp) {
   // The directory does not exist: nothing can be created.
   const std::string orphan = durable_path("qperc_durable_no_such_dir") + "/file.qd";
   EXPECT_THROW(write_durable(orphan, kTestHeader, kTestPayload), std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(orphan + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(durable_temp_path(orphan)));
 
   // The temp file cannot be created: the previous file stays intact.
   const std::string path = durable_path("qperc_durable_blocked.qd");
-  std::filesystem::remove_all(path + ".tmp");
+  std::filesystem::remove_all(durable_temp_path(path));
   const std::string good = good_durable_bytes(path);
-  std::filesystem::create_directory(path + ".tmp");
+  std::filesystem::create_directory(durable_temp_path(path));
   EXPECT_THROW(write_durable(path, "qperc-test-v1 8 2", ""), std::runtime_error);
   EXPECT_EQ(slurp(path), good);
-  std::filesystem::remove(path + ".tmp");
+  std::filesystem::remove(durable_temp_path(path));
   std::remove(path.c_str());
 
   // The rename fails (the target is a non-empty directory): the written
@@ -401,9 +403,25 @@ TEST(DurableFile, FailedWriteLeavesTargetUnchangedAndNoTemp) {
   std::filesystem::create_directory(dir);
   spit(dir + "/keep", "kept");
   EXPECT_THROW(write_durable(dir, kTestHeader, kTestPayload), std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(durable_temp_path(dir)));
   EXPECT_EQ(slurp(dir + "/keep"), "kept");
   std::filesystem::remove_all(dir);
+}
+
+TEST(DurableFile, ConcurrentWritersStageInTheirOwnTempFiles) {
+  // Another process writing the same path at the same time (two study
+  // shards checkpointing one stimulus store) holds a half-written temp file
+  // of its own; this write neither collides with it nor touches it.
+  const std::string path = durable_path("qperc_durable_shared.qd");
+  const std::string other = path + ".tmp." + std::to_string(::getppid());
+  ASSERT_NE(durable_temp_path(path), other);
+  spit(other, "half-written");
+  good_durable_bytes(path);
+  EXPECT_TRUE(read_durable(path, kTestMagic).has_value());
+  EXPECT_EQ(slurp(other), "half-written");
+  EXPECT_FALSE(std::filesystem::exists(durable_temp_path(path)));
+  std::remove(other.c_str());
+  std::remove(path.c_str());
 }
 
 const Flags kTestFlags = {
