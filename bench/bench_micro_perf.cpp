@@ -502,17 +502,23 @@ void measure_population(MicroResults& out, int scale) {
   const std::uint64_t participants =
       1000ULL * static_cast<std::uint64_t>(scale < 20 ? scale : 20);
   (void)population::run_streaming_study(library, population_spec(participants), options);
-  const std::uint64_t bytes_before = qperc::heap_bytes_allocated();
-  const auto t0 = Clock::now();
-  const auto report =
-      population::run_streaming_study(library, population_spec(participants), options);
-  const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(report.accumulator.votes);
-  const double total_ns = elapsed_ns(t0, t1);
+  // Heap bytes one run of n participants allocates (and its time, if asked).
+  const auto run_bytes = [&](std::uint64_t n, double* elapsed) {
+    const std::uint64_t bytes_before = qperc::heap_bytes_allocated();
+    const auto t0 = Clock::now();
+    const auto report = population::run_streaming_study(library, population_spec(n), options);
+    const auto t1 = Clock::now();
+    benchmark::DoNotOptimize(report.accumulator.votes);
+    if (elapsed != nullptr) *elapsed = elapsed_ns(t0, t1);
+    return static_cast<double>(qperc::heap_bytes_allocated() - bytes_before);
+  };
+  double total_ns = 0;
+  const double bytes_n = run_bytes(participants, &total_ns);
+  const double bytes_2n = run_bytes(2 * participants, nullptr);
   out.participants_per_sec = static_cast<double>(participants) / (total_ns * 1e-9);
-  out.bytes_per_participant =
-      static_cast<double>(qperc::heap_bytes_allocated() - bytes_before) /
-      static_cast<double>(participants);
+  // Marginal: per-run setup (stimulus pools, accumulators, round buffers) is
+  // the same at n and 2n, so only per-participant traffic is left.
+  out.bytes_per_participant = (bytes_2n - bytes_n) / static_cast<double>(participants);
 }
 
 /// Events fired by the fixed (apache.org, QUIC, DSL, seed 1) trial — a cheap

@@ -191,7 +191,7 @@ void QuicConnection::emit(bool from_client, QuicPacket packet) {
   std::uint32_t payload = 0;
   for (const auto& frame : packet.frames) payload += frame.length + kStreamFrameOverhead;
   // ACK-range encoding cost: ~5 bytes per range actually carried.
-  payload += static_cast<std::uint32_t>(packet.ack_ranges.size()) * 5 +
+  payload += packet.ack_ranges.count * 5 +
              static_cast<std::uint32_t>(packet.window_updates.size() + packet.blocked) *
                  kControlFrameBytes;
 

@@ -48,8 +48,6 @@ class QuicConnection {
     server_send_.write_stream(stream_id, bytes, fin, priority);
   }
 
-  [[nodiscard]] const QuicSendSide& server_send_side() const { return server_send_; }
-  [[nodiscard]] const QuicSendSide& client_send_side() const { return client_send_; }
   [[nodiscard]] net::TransportStats stats() const;
   [[nodiscard]] net::FlowId flow() const noexcept { return flow_; }
 

@@ -29,12 +29,35 @@ struct WindowUpdate {
   std::uint64_t limit = 0;
 };
 
-/// One acknowledged packet-number range [first, second] (inclusive). Member
-/// names match the std::pair this used to be; a plain aggregate is trivially
-/// copyable (std::pair is not), which ArenaVec storage requires.
-struct AckRange {
+/// One acknowledged packet-number range [first, last] (inclusive), a node of
+/// the receiver's newest-first range list. Nodes live in the trial arena and
+/// are never modified once linked, so a frame keeps the ranges it was built with.
+struct AckRangeNode {
   std::uint64_t first = 0;
-  std::uint64_t second = 0;
+  std::uint64_t last = 0;
+  const AckRangeNode* next = nullptr;  // the next older (lower) range
+  std::uint32_t depth = 1;             // ranges from this node down, this one included
+};
+
+/// An ACK frame's ranges: the newest `count` nodes of a range list, by
+/// reference. Iterates newest-first.
+struct AckRanges {
+  struct Iterator {
+    const AckRangeNode* node = nullptr;
+    std::uint32_t left = 0;
+    const AckRangeNode& operator*() const noexcept { return *node; }
+    Iterator& operator++() noexcept {
+      node = node->next;
+      --left;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const noexcept { return left == other.left; }
+  };
+
+  const AckRangeNode* head = nullptr;
+  std::uint32_t count = 0;
+  [[nodiscard]] Iterator begin() const noexcept { return {head, count}; }
+  [[nodiscard]] Iterator end() const noexcept { return {}; }
 };
 
 /// Per-packet overheads: short header + AEAD tag (~30 B) plus UDP/IP (28 B).
@@ -47,9 +70,10 @@ inline constexpr std::uint32_t kControlFrameBytes = 8;
 /// Wire size of a padded handshake packet.
 inline constexpr std::uint32_t kHandshakePacketWireBytes = 1392;
 
-/// Frame lists are ArenaVecs over the trial arena, which makes the packet
-/// trivially destructible (an arena requirement) and move-only; building a
-/// packet allocates nothing beyond arena bumps.
+/// Frame lists are ArenaVecs over the trial arena and the ACK ranges view the
+/// receiver's arena-placed range list, which makes the packet trivially
+/// destructible (an arena requirement) and move-only; building a packet
+/// allocates nothing beyond arena bumps.
 struct QuicPacket final : net::Payload {
   QuicHandshakeStep handshake = QuicHandshakeStep::kNone;
   std::uint8_t flight_index = 0;
@@ -68,7 +92,7 @@ struct QuicPacket final : net::Payload {
 
   bool has_ack = false;
   /// Received packet-number ranges [first, last], newest first, <= 256.
-  ArenaVec<AckRange> ack_ranges;
+  AckRanges ack_ranges;
 
   ArenaVec<WindowUpdate> window_updates;
 };

@@ -18,8 +18,6 @@ QuicReceiveSide::QuicReceiveSide(
       config_(config),
       request_ack_(std::move(request_ack)),
       on_stream_progress_(std::move(on_stream_progress)),
-      received_(ArenaAllocator<std::pair<const std::uint64_t, std::uint64_t>>(
-          simulator.arena())),
       delayed_ack_timer_(simulator, [this] { request_ack_(); }),
       streams_(simulator.arena()),
       connection_advertised_(config.connection_flow_window_bytes) {}
@@ -32,14 +30,17 @@ std::uint64_t QuicReceiveSide::stream_delivered(std::uint64_t stream_id) const {
 void QuicReceiveSide::on_packet(const QuicPacket& packet) {
   const std::uint64_t pn = packet.packet_number;
 
-  // Record the packet number in the received-range set.
-  bool duplicate = false;
-  auto it = received_.upper_bound(pn);
-  if (it != received_.begin()) {
-    auto prev = std::prev(it);
-    if (pn <= prev->second) duplicate = true;
+  // Find pn's place in the range list: `above` is the lowest range starting
+  // past pn, `below` the highest range starting at or before it (holding pn
+  // if it is a duplicate). A packet above every range stops at the head.
+  const AckRangeNode* above = nullptr;
+  const AckRangeNode* below = ranges_;
+  while (below != nullptr && below->first > pn) {
+    above = below;
+    below = below->next;
   }
-  const bool out_of_order = pn < largest_received_;
+  const bool duplicate = below != nullptr && below->last >= pn;
+  const bool out_of_order = ranges_ != nullptr && pn < ranges_->last;
   if (simulator_.trace() != nullptr) {
     std::uint64_t payload = 0;
     for (const auto& frame : packet.frames) payload += frame.length;
@@ -47,39 +48,30 @@ void QuicReceiveSide::on_packet(const QuicPacket& packet) {
                            pn, payload, duplicate ? 1 : 0);
   }
   if (!duplicate) {
-    // Merge pn into ranges: extend neighbours where adjacent.
-    auto next = received_.lower_bound(pn);
-    const bool joins_next = next != received_.end() && next->first == pn + 1;
-    auto prev = next == received_.begin() ? received_.end() : std::prev(next);
-    const bool joins_prev = prev != received_.end() && prev->second + 1 == pn;
-    if (joins_prev && joins_next) {
-      prev->second = next->second;
-      received_.erase(next);
-    } else if (joins_prev) {
-      prev->second = pn;
-    } else if (joins_next) {
-      const std::uint64_t end = next->second;
-      received_.erase(next);
-      received_[pn] = end;
-    } else {
-      received_[pn] = pn;
+    // pn joins the range above it, the range below it, both or neither; one
+    // new node holds the result. Nodes are immutable, so each range above it
+    // is copied with the new link and depth: a loop, not recursion, as the
+    // list depth is unbounded. A packet above every range copies nothing.
+    const bool joins_above = above != nullptr && above->first == pn + 1;
+    const bool joins_below = below != nullptr && below->last + 1 == pn;
+    const AckRangeNode* rest = joins_below ? below->next : below;
+    Arena& arena = simulator_.arena();
+    const AckRangeNode* merged = arena.create<AckRangeNode>(
+        AckRangeNode{joins_below ? below->first : pn, joins_above ? above->last : pn, rest,
+                     rest == nullptr ? 1u : rest->depth + 1});
+    const AckRangeNode* head = merged;
+    AckRangeNode* tail = nullptr;
+    for (const AckRangeNode* node = ranges_; node != (joins_above ? above : below);
+         node = node->next) {
+      auto* copy = arena.create<AckRangeNode>(AckRangeNode{
+          node->first, node->last, merged, node->depth + 1 - joins_above - joins_below});
+      (tail == nullptr ? head : tail->next) = copy;
+      tail = copy;
     }
-    largest_received_ = std::max(largest_received_, pn);
-    // The merge must leave ranges sorted, disjoint, and non-adjacent around
-    // the insertion point (adjacent ranges should have coalesced).
-    const auto cur = --received_.upper_bound(pn);
-    QPERC_DCHECK_LE(cur->first, cur->second);
-    if (cur != received_.begin()) {
-      QPERC_DCHECK_GT(cur->first, std::prev(cur)->second + 1)
-          << "received packet ranges failed to coalesce";
-    }
-    if (const auto after = std::next(cur); after != received_.end()) {
-      QPERC_DCHECK_GT(after->first, cur->second + 1)
-          << "received packet ranges failed to coalesce";
-    }
-  }
-
-  if (!duplicate) {
+    QPERC_DCHECK((rest == nullptr || rest->last + 1 < merged->first) &&
+                 (tail == nullptr || merged->last + 1 < tail->first))
+        << "received packet ranges failed to coalesce";
+    ranges_ = head;
     for (const auto& frame : packet.frames) on_stream_frame(frame);
   }
 
@@ -198,25 +190,12 @@ void QuicReceiveSide::maybe_update_windows(std::uint64_t stream_id, RecvStream& 
 }
 
 void QuicReceiveSide::fill_ack(QuicPacket& packet) {
-  if (received_.empty() && pending_window_updates_.empty()) return;
-  packet.has_ack = !received_.empty();
-  packet.ack_ranges.clear();
-  // Newest ranges first, capped at the configured range budget. The emitted
-  // frame must be sorted (descending) and non-overlapping — the sender-side
-  // loss detector indexes unacked packets by these ranges. Sized once up
-  // front: growing 4 -> 8 -> ... -> 256 would leave every outgrown buffer
-  // behind in the trial arena.
-  packet.ack_ranges.reserve(
-      simulator_.arena(),
-      static_cast<std::uint32_t>(std::min<std::size_t>(received_.size(), config_.max_ack_ranges)));
-  for (auto it = received_.rbegin();
-       it != received_.rend() && packet.ack_ranges.size() < config_.max_ack_ranges; ++it) {
-    QPERC_DCHECK_LE(it->first, it->second);
-    QPERC_DCHECK(packet.ack_ranges.empty() ||
-                 it->second < packet.ack_ranges.back().first)
-        << "emitted ACK ranges overlap";
-    packet.ack_ranges.emplace_back(simulator_.arena(), it->first, it->second);
-  }
+  if (ranges_ == nullptr && pending_window_updates_.empty()) return;
+  packet.has_ack = ranges_ != nullptr;
+  // The frame references the list as it stands; later packets add nodes but
+  // never modify these, so the frame keeps its ranges.
+  packet.ack_ranges = AckRanges{
+      ranges_, ranges_ == nullptr ? 0 : std::min(ranges_->depth, config_.max_ack_ranges)};
   for (const WindowUpdate& update : pending_window_updates_) {
     packet.window_updates.push_back(simulator_.arena(), update);
   }

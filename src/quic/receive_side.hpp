@@ -30,12 +30,11 @@ class QuicReceiveSide {
   /// Processes an incoming data packet's stream frames and packet number.
   void on_packet(const QuicPacket& packet);
 
-  /// Fills ACK ranges (newest-first, capped at max_ack_ranges) and pending
-  /// window updates into an outgoing packet.
+  /// Points the outgoing packet's ACK frame at the newest ranges (capped at
+  /// max_ack_ranges; nothing is copied) and moves pending window updates in.
   void fill_ack(QuicPacket& packet);
 
   [[nodiscard]] std::uint64_t stream_delivered(std::uint64_t stream_id) const;
-  [[nodiscard]] std::size_t ack_range_count() const noexcept { return received_.size(); }
 
   /// Identifies this side in trace events (set by the owning connection).
   void set_trace_context(std::uint64_t flow, trace::Endpoint endpoint) noexcept {
@@ -69,11 +68,9 @@ class QuicReceiveSide {
   std::uint64_t trace_flow_ = 0;
   trace::Endpoint trace_endpoint_ = trace::Endpoint::kNone;
 
-  /// Received packet numbers as [first, last] ranges, keyed by first.
-  std::map<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
-           ArenaAllocator<std::pair<const std::uint64_t, std::uint64_t>>>
-      received_;
-  std::uint64_t largest_received_ = 0;
+  /// Received packet numbers as disjoint, non-adjacent [first, last] ranges,
+  /// newest first (see AckRangeNode); nullptr before the first packet.
+  const AckRangeNode* ranges_ = nullptr;
   std::uint32_t ack_eliciting_since_ack_ = 0;
   sim::Timer delayed_ack_timer_;
 

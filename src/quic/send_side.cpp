@@ -283,8 +283,7 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   if (!packet.has_ack || !established_) return;
   // Always-on: acknowledging a packet number we never allocated means the
   // packet-number space is corrupt and all delivery accounting is garbage.
-  QPERC_CHECK(packet.ack_ranges.empty() ||
-              packet.ack_ranges.front().second < next_packet_number_)
+  QPERC_CHECK(packet.ack_ranges.count == 0 || packet.ack_ranges.head->last < next_packet_number_)
       << "peer acknowledged a packet number that was never sent";
   const SimTime now = simulator_.now();
 
@@ -297,11 +296,12 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   // Ranges arrive newest-first: each [first, last] must be well-formed and
   // sit strictly below the previous range (sorted, non-overlapping). Checked
   // over every range, also those the walk below never reaches.
-  for (std::uint32_t i = 0; i < packet.ack_ranges.size(); ++i) {
-    const AckRange& range = packet.ack_ranges[i];
-    QPERC_DCHECK_LE(range.first, range.second) << "inverted ACK range";
-    QPERC_DCHECK(i == 0 || range.second < packet.ack_ranges[i - 1].first)
+  const AckRangeNode* newer = nullptr;
+  for (const AckRangeNode& range : packet.ack_ranges) {
+    QPERC_DCHECK_LE(range.first, range.last) << "inverted ACK range";
+    QPERC_DCHECK(newer == nullptr || range.last < newer->first)
         << "ACK ranges out of order or overlapping";
+    newer = &range;
   }
 #endif
 
@@ -320,7 +320,9 @@ void QuicSendSide::on_ack_frame(const QuicPacket& packet) {
   std::uint32_t traced_cursor = traced_lost_.merge_start();
 
   bool spurious_pto = false;
-  for (const auto& [first, last] : packet.ack_ranges) {
+  for (const AckRangeNode& range : packet.ack_ranges) {
+    const std::uint64_t first = range.first;
+    const std::uint64_t last = range.last;
     if (last < floor) break;
     // An acked packet the PTO path declared lost: the probe timeout was
     // spurious (monotone packet numbers make this unambiguous — the range

@@ -131,8 +131,8 @@ class Arena {
 
 /// Minimal growable array backed by an Arena: {pointer, size, capacity} with
 /// geometric growth, no shrink, and no destructor work. This is the
-/// replacement for std::vector in wire payloads (stream frames, ACK ranges,
-/// SACK lists) — trivially destructible, so payloads can live in the arena.
+/// replacement for std::vector in wire payloads (stream frames, SACK lists)
+/// — trivially destructible, so payloads can live in the arena.
 ///
 /// push_back takes the Arena explicitly rather than storing a back-pointer:
 /// payload types stay 16 bytes smaller and can never outlive their arena by

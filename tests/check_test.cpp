@@ -10,6 +10,7 @@
 #include "quic/send_side.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/sender.hpp"
+#include "tests/transport_test_util.hpp"
 #include "util/check.hpp"
 #include "util/time.hpp"
 
@@ -119,7 +120,7 @@ TEST(CheckInvariants, QuicSendSideRejectsAckOfUnsentPacket) {
 
   quic::QuicPacket forged;
   forged.has_ack = true;
-  forged.ack_ranges.emplace_back(simulator.arena(), 5u, 9u);  // nothing was ever sent
+  forged.ack_ranges = testutil::forge_ack_ranges(simulator.arena(), {{5, 9}});  // never sent
   send_side.on_ack_frame(forged);
   ASSERT_GE(g_violations, 1);
   EXPECT_NE(g_messages[0].find("never sent"), std::string::npos);

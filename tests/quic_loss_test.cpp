@@ -8,6 +8,7 @@
 #include "quic/receive_side.hpp"
 #include "quic/send_side.hpp"
 #include "sim/simulator.hpp"
+#include "tests/transport_test_util.hpp"
 #include "trace/memory_sink.hpp"
 #include "util/check.hpp"
 
@@ -26,12 +27,10 @@ struct SenderHarness {
         }) {}
 
   /// Delivers an ACK covering the given packet-number ranges.
-  void ack(std::initializer_list<std::pair<std::uint64_t, std::uint64_t>> ranges) {
+  void ack(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges) {
     QuicPacket ack_packet;
     ack_packet.has_ack = true;
-    for (const auto& range : ranges) {
-      ack_packet.ack_ranges.emplace_back(simulator.arena(), range.first, range.second);
-    }
+    ack_packet.ack_ranges = testutil::forge_ack_ranges(simulator.arena(), ranges);
     sender.on_ack_frame(ack_packet);
   }
 
@@ -214,13 +213,12 @@ TEST(QuicSendSide, StaleRangesBelowTheFloorChangeNothing) {
   const std::size_t sent = harness.packets_sent();
 
   // 256 one-packet ranges, newest first, all below the oldest unacked packet.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (std::uint64_t i = 0; i < 256; ++i) ranges.emplace_back(511 - 2 * i, 511 - 2 * i);
   QuicPacket stale;
   stale.has_ack = true;
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    const std::uint64_t pn = 511 - 2 * i;
-    stale.ack_ranges.emplace_back(harness.simulator.arena(), pn, pn);
-  }
-  ASSERT_EQ(stale.ack_ranges.size(), 256u);
+  stale.ack_ranges = testutil::forge_ack_ranges(harness.simulator.arena(), ranges);
+  ASSERT_EQ(stale.ack_ranges.count, 256u);
   harness.sender.on_ack_frame(stale);
   EXPECT_EQ(harness.sender.stats(), stats);
   EXPECT_EQ(harness.sender.bytes_in_flight(), in_flight);

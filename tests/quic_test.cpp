@@ -2,8 +2,13 @@
 // reliability under loss, flow control.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "net/impairments.hpp"
 #include "tests/transport_test_util.hpp"
+#include "util/rng.hpp"
 
 namespace qperc::quic {
 namespace {
@@ -121,10 +126,10 @@ TEST(QuicAckRanges, CanExceedTcpSackLimit) {
   QuicPacket ack;
   receiver.fill_ack(ack);
   EXPECT_TRUE(ack.has_ack);
-  EXPECT_EQ(ack.ack_ranges.size(), 20u);
-  EXPECT_GT(ack.ack_ranges.size(), tcp::kMaxSackBlocks);
+  EXPECT_EQ(ack.ack_ranges.count, 20u);
+  EXPECT_GT(ack.ack_ranges.count, tcp::kMaxSackBlocks);
   // Newest first.
-  EXPECT_EQ(ack.ack_ranges.front().first, 40u);
+  EXPECT_EQ(ack.ack_ranges.head->first, 40u);
 }
 
 TEST(QuicAckRanges, CapsAtConfiguredMaximum) {
@@ -141,7 +146,126 @@ TEST(QuicAckRanges, CapsAtConfiguredMaximum) {
   }
   QuicPacket ack;
   receiver.fill_ack(ack);
-  EXPECT_EQ(ack.ack_ranges.size(), 8u);
+  EXPECT_EQ(ack.ack_ranges.count, 8u);
+}
+
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Ranges frame_ranges(const AckRanges& frame) {
+  Ranges out;
+  for (const AckRangeNode& range : frame) out.emplace_back(range.first, range.last);
+  return out;
+}
+
+// The receiver's range list against a std::map reference model, over seeded
+// streams of in-order runs, gaps, duplicates and reordered packets. Every
+// frame must carry the model's newest min(n, max_ack_ranges) ranges, and a
+// frame taken earlier must keep reading its own ranges after later inserts.
+TEST(QuicAckRanges, MatchRangeMapModelUnderReordering) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::Simulator simulator;
+    QuicConfig config;
+    config.max_ack_ranges = seed % 2 == 0 ? 8 : 256;
+    QuicReceiveSide receiver(simulator, config, [] {},
+                             [](std::uint64_t, std::uint64_t, bool) {});
+    Rng rng(seed);
+    std::map<std::uint64_t, std::uint64_t> model;  // first -> last
+    std::vector<std::uint64_t> holes;
+    std::vector<std::uint64_t> received;
+    std::vector<std::pair<AckRanges, Ranges>> snapshots;
+    int fills = 0, joins_below_only = 0, splits = 0, duplicates = 0;
+    std::uint64_t next = 1;
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = rng.uniform();
+      std::uint64_t pn = 0;
+      if (roll < 0.1 && !received.empty()) {
+        pn = received[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(received.size()) - 1))];
+      } else if (roll < 0.35 && !holes.empty()) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(holes.size()) - 1));
+        pn = holes[at];
+        holes.erase(holes.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        if (roll < 0.5) {  // open a gap of 1-4 packet numbers
+          for (std::int64_t skip = rng.uniform_int(1, 4); skip > 0; --skip) {
+            holes.push_back(next++);
+          }
+        }
+        pn = next++;
+      }
+
+      // Update the model and classify the packet.
+      auto it = model.upper_bound(pn);
+      const bool duplicate = it != model.begin() && std::prev(it)->second >= pn;
+      if (duplicate) {
+        ++duplicates;
+      } else {
+        const bool below = it != model.begin() && std::prev(it)->second + 1 == pn;
+        const bool above = it != model.end() && it->first == pn + 1;
+        if (it != model.end()) {
+          fills += below && above;
+          joins_below_only += below && !above;
+          splits += !below && !above;
+        }
+        std::uint64_t first = pn;
+        std::uint64_t last = pn;
+        if (above) {
+          last = it->second;
+          model.erase(it);
+        }
+        if (below) {
+          first = std::prev(model.upper_bound(pn))->first;
+        }
+        model[first] = last;
+        received.push_back(pn);
+      }
+
+      QuicPacket packet;
+      packet.packet_number = pn;
+      receiver.on_packet(packet);
+      QuicPacket ack;
+      receiver.fill_ack(ack);
+      Ranges expected;
+      for (auto r = model.rbegin(); r != model.rend() && expected.size() < config.max_ack_ranges;
+           ++r) {
+        expected.emplace_back(r->first, r->second);
+      }
+      ASSERT_EQ(ack.ack_ranges.head->depth, model.size()) << "seed " << seed << " pn " << pn;
+      ASSERT_EQ(frame_ranges(ack.ack_ranges), expected) << "seed " << seed << " pn " << pn;
+      if (step % 50 == 0) snapshots.emplace_back(ack.ack_ranges, expected);
+    }
+    for (const auto& [frame, ranges] : snapshots) {
+      EXPECT_EQ(frame_ranges(frame), ranges) << "seed " << seed;
+    }
+    EXPECT_GT(fills, 0) << "seed " << seed;
+    EXPECT_GT(joins_below_only, 0) << "seed " << seed;
+    EXPECT_GT(splits, 0) << "seed " << seed;
+    EXPECT_GT(duplicates, 0) << "seed " << seed;
+  }
+}
+
+// Building an ACK frame copies nothing, and an in-order packet (extending the
+// newest range or opening one above it) adds exactly one list node.
+TEST(QuicAckRanges, FillAckCopiesNothingAndInOrderPacketsAddOneNode) {
+  sim::Simulator simulator;
+  QuicConfig config;
+  QuicReceiveSide receiver(simulator, config, [] {},
+                           [](std::uint64_t, std::uint64_t, bool) {});
+  QuicPacket packet;
+  packet.packet_number = 1;
+  receiver.on_packet(packet);
+  for (std::uint64_t pn = 2; pn <= 400; pn += pn % 3 == 0 ? 2 : 1) {
+    packet.packet_number = pn;
+    const std::size_t before = simulator.arena().bytes_used();
+    receiver.on_packet(packet);
+    EXPECT_EQ(simulator.arena().bytes_used() - before, sizeof(AckRangeNode)) << "pn " << pn;
+    QuicPacket ack;
+    const std::size_t before_ack = simulator.arena().bytes_used();
+    receiver.fill_ack(ack);
+    EXPECT_EQ(simulator.arena().bytes_used(), before_ack) << "pn " << pn;
+    EXPECT_TRUE(ack.has_ack);
+  }
 }
 
 TEST(QuicReceiveSide, ReassemblesStreamsIndependently) {

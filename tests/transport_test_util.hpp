@@ -5,12 +5,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/emulated_network.hpp"
 #include "net/profile.hpp"
 #include "quic/connection.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/connection.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace qperc::testutil {
@@ -123,5 +126,18 @@ struct QuicHarness {
     return streams_completed >= streams;
   }
 };
+
+/// An ACK frame over arena nodes chained from `ranges` ([first, last],
+/// newest first) exactly as given: nothing is checked, so a test can forge
+/// out-of-order or overlapping frames.
+inline quic::AckRanges forge_ack_ranges(
+    Arena& arena, const std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges) {
+  const quic::AckRangeNode* head = nullptr;
+  for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
+    head = arena.create<quic::AckRangeNode>(quic::AckRangeNode{
+        it->first, it->second, head, head == nullptr ? 1u : head->depth + 1});
+  }
+  return quic::AckRanges{head, static_cast<std::uint32_t>(ranges.size())};
+}
 
 }  // namespace qperc::testutil
