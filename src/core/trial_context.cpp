@@ -22,7 +22,9 @@ browser::PageLoadResult TrialContext::run(const TrialSpec& spec,
   spec.contention.validate();
 
   // Discard the previous trial (arena blocks and container capacity are
-  // kept) before any of this trial's state is built.
+  // kept) before any of this trial's state is built. Its arena-backed
+  // containers were this function's locals and are gone, so none can
+  // release storage into this trial's free lists.
   simulator_.reset();
   simulator_.set_trace(spec.trace);
   Rng rng(spec.seed);

@@ -60,8 +60,8 @@ struct Pools {
 };
 
 /// Per-worker-slot reusable state: the partial Fisher–Yates order buffer.
-/// Allocated once per slot; resize() never shrinks capacity, so the trial
-/// loop is allocation-free after the first round.
+/// Reserved for the largest pool before the first round, so no round
+/// allocates, whichever slots it uses.
 struct Scratch {
   std::vector<std::uint32_t> order;
 };
@@ -166,10 +166,12 @@ struct KeepVotes {
 /// Simulates one participant end to end: traits, conformance funnel, and —
 /// for survivors — every vote, folded straight into `acc` and handed to
 /// `keep`. A pure function of (ctx.root, id): no shared mutable state, and
-/// with DropVotes no allocation after the scratch buffer's first use.
+/// with DropVotes no allocation. Kept out of line: it is the
+/// study-participant root of scripts/analyze_hotpath.py.
 template <typename VoteSink>
-void simulate_one(const EngineContext& ctx, std::uint64_t id, Scratch& scratch,
-                  Accumulator& acc, const VoteSink& keep) {
+__attribute__((noinline)) void simulate_one(const EngineContext& ctx, std::uint64_t id,
+                                            Scratch& scratch, Accumulator& acc,
+                                            const VoteSink& keep) {
   Rng rng = ctx.root.fork(id + 1);
   const study::Enrolment enrolment = study::enrol(ctx.spec->group, ctx.spec->kind, rng);
   ++acc.participants;
@@ -423,6 +425,9 @@ Report run_streaming_study(core::VideoLibrary& library, const StudySpec& spec,
     round_accs.push_back(make_accumulator(spec.kind));
   }
   std::vector<Scratch> scratches(round_size);
+  for (Scratch& scratch : scratches) {
+    scratch.order.reserve(std::max({pools.fast.size(), pools.plane.size(), pools.ab.size()}));
+  }
   std::vector<std::vector<VoteRecord>> round_votes(options.keep_votes ? round_size : 0);
 
   const auto started = std::chrono::steady_clock::now();

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -69,9 +68,9 @@ class Executor {
   /// (tasks whose every attempt threw) sorted by task index; all other
   /// tasks are guaranteed to have completed. fn may be called from
   /// multiple threads concurrently but never twice concurrently for the
-  /// same index.
-  std::vector<TaskFailure> run(std::size_t task_count,
-                               const std::function<void(std::size_t)>& fn) const {
+  /// same index. fn is used in place: no copy, no allocation.
+  template <class Fn>
+  std::vector<TaskFailure> run(std::size_t task_count, Fn&& fn) const {
     std::vector<TaskFailure> failures;
     if (task_count == 0) return failures;
     const unsigned jobs = resolved_jobs(task_count);

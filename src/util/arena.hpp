@@ -1,26 +1,31 @@
-// Monotonic per-trial arena: the allocation backbone of the trial hot path.
+// Per-trial arena: the allocation backbone of the trial hot path.
 //
 // A page-load trial churns through thousands of short-lived objects — wire
-// payloads, SACK/ACK ranges, stream frames, reassembly maps, HTTP stream
-// state — all of which die together when the trial ends. The Arena exploits
-// that shared lifetime: allocation is a pointer bump into large blocks, and
-// reset() rewinds the bump pointer while keeping every block, so after the
-// first trial warms the block chain a steady-state trial performs zero heap
-// allocations for all of this traffic (see docs/PERFORMANCE.md for the full
-// memory model and the rules about what may allocate in the hot path).
+// payloads, stream frames, reassembly maps, HTTP stream state — none of
+// which outlives the trial. Allocation is a pointer bump into large blocks,
+// and reset() rewinds the bump pointer while keeping every block, so after
+// the first trial warms the block chain a steady-state trial performs zero
+// heap allocations for all of this traffic (docs/PERFORMANCE.md has the
+// memory model and the hot-path allocation rules).
 //
-// Three deliberate restrictions keep the design honest:
-//   * no per-object free: deallocate is a no-op; memory is reclaimed only by
-//     reset(). This is exactly right for trial-scoped state and wrong for
-//     anything that must outlive a trial — results are copied out to normal
-//     heap containers before reset.
-//   * create<T>() requires trivially destructible T: reset() never runs
-//     destructors, so types that own heap resources cannot live here.
-//   * single-threaded: one Arena belongs to one Simulator / TrialContext;
-//     campaign workers each own their own context.
+// Two lifetimes:
+//   * create<T>(), allocate_array<T>() and ArenaVec storage is never reused
+//     before reset(), so views into it (a sent packet's frame list) stay
+//     valid for the whole trial.
+//   * container storage (ArenaAllocator) is recycled: acquire()/release()
+//     keep a free list per 16-byte size class up to kMaxRecycledBytes, so a
+//     table's footprint follows what it holds, not all it ever held.
+//     AddressSanitizer builds poison released blocks until reused. Every
+//     arena-backed container must be destroyed before reset() (the trial's
+//     locals in core::TrialContext::run are), so nothing is released into
+//     a later trial's lists.
+// create<T>() requires trivially destructible T (reset() runs no
+// destructors), and an Arena is single-threaded: one per Simulator /
+// TrialContext; campaign workers each own their own.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -32,6 +37,15 @@
 
 #include "util/check.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define QPERC_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define QPERC_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define QPERC_ARENA_POISON(p, n) static_cast<void>(0)
+#define QPERC_ARENA_UNPOISON(p, n) static_cast<void>(0)
+#endif
+
 namespace qperc {
 
 class Arena {
@@ -40,6 +54,9 @@ class Arena {
   /// in a handful of blocks, so steady state never grows the chain.
   static constexpr std::size_t kInitialBlockBytes = 64 * 1024;
   static constexpr std::size_t kMaxBlockBytes = 4 * 1024 * 1024;
+  /// Container storage up to this size is recycled in 16-byte size classes.
+  static constexpr std::size_t kSizeClassBytes = 16;
+  static constexpr std::size_t kMaxRecycledBytes = 1024;
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -78,9 +95,32 @@ class Arena {
     return static_cast<T*>(allocate(count * sizeof(T), alignof(T)));
   }
 
-  /// Rewinds to empty, keeping every block for reuse. O(1); runs no
-  /// destructors (see create<T> contract).
+  /// Container storage: the head of `bytes`' size-class free list, or a
+  /// fresh bump of the class size (16-byte aligned). Larger requests bump.
+  [[nodiscard]] void* acquire(std::size_t bytes) {
+    const std::size_t cls = (bytes - 1) / kSizeClassBytes;  // 0 bytes wraps past the classes
+    if (cls >= free_.size()) return allocate(bytes);
+    FreeBlock* block = free_[cls];
+    if (block == nullptr) return allocate((cls + 1) * kSizeClassBytes);
+    QPERC_ARENA_UNPOISON(block, (cls + 1) * kSizeClassBytes);
+    free_[cls] = block->next;
+    return block;
+  }
+
+  /// Hands storage that acquire(bytes) returned back to its size class;
+  /// larger blocks stay where they are until reset().
+  void release(void* p, std::size_t bytes) noexcept {
+    const std::size_t cls = (bytes - 1) / kSizeClassBytes;
+    if (cls >= free_.size()) return;
+    free_[cls] = ::new (p) FreeBlock{free_[cls]};
+    QPERC_ARENA_POISON(p, (cls + 1) * kSizeClassBytes);
+  }
+
+  /// Rewinds to empty, keeping every block for reuse and emptying the free
+  /// lists. Runs no destructors (see create<T> contract).
   void reset() noexcept {
+    for ([[maybe_unused]] const Block& b : blocks_) QPERC_ARENA_UNPOISON(b.data.get(), b.size);
+    free_.fill(nullptr);
     block_ = 0;
     offset_ = 0;
   }
@@ -104,6 +144,9 @@ class Arena {
     std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
   };
+  struct FreeBlock {
+    FreeBlock* next;
+  };
 
   /// Moves to the next block able to hold `min_bytes`, appending a new one
   /// (geometric growth) only when the existing chain runs out. Cold: steady
@@ -119,7 +162,7 @@ class Arena {
     std::size_t next = blocks_.empty() ? kInitialBlockBytes
                                        : std::min(blocks_.back().size * 2, kMaxBlockBytes);
     if (next < min_bytes) next = min_bytes;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(next), next});
+    blocks_.push_back(Block{std::make_unique_for_overwrite<std::byte[]>(next), next});
     block_ = blocks_.size() - 1;
     offset_ = 0;
   }
@@ -127,6 +170,7 @@ class Arena {
   std::vector<Block> blocks_;
   std::size_t block_ = 0;   // index of the block currently being bumped
   std::size_t offset_ = 0;  // bump offset within blocks_[block_]
+  std::array<FreeBlock*, kMaxRecycledBytes / kSizeClassBytes> free_{};
 };
 
 /// Minimal growable array backed by an Arena: {pointer, size, capacity} with
@@ -208,14 +252,13 @@ class ArenaVec {
 };
 
 /// std-compatible allocator adapter so node-based containers (the reassembly
-/// and retransmission std::maps, HTTP stream tables) draw their nodes from
-/// the trial arena. deallocate is a no-op — nodes are reclaimed wholesale at
-/// Arena::reset() — which also turns erase/insert churn into pure pointer
-/// bumps. Containers using this must hold only trivially-destructible-ish
-/// values in the sense that their element destructors free no arena-external
-/// resources the container is expected to return (unique_ptr values are fine:
-/// their destructors still run on erase; it is only the *node* memory that is
-/// arena-owned).
+/// and retransmission std::maps, HTTP stream tables, FlatMap slot arrays)
+/// draw their storage from the trial arena through Arena::acquire/release:
+/// an erased node goes back to its size class and the next insert reuses
+/// it, so insert/erase churn neither grows the arena nor touches the heap.
+/// Element destructors still run on erase (unique_ptr values are fine); only
+/// the storage is arena-owned. The container must be destroyed before the
+/// arena's reset().
 template <class T>
 class ArenaAllocator {
  public:
@@ -227,9 +270,10 @@ class ArenaAllocator {
       : arena_(other.arena()) {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
+    static_assert(alignof(T) <= Arena::kSizeClassBytes, "over-aligned container element");
+    return static_cast<T*>(arena_->acquire(n * sizeof(T)));
   }
-  void deallocate(T* /*p*/, std::size_t /*n*/) noexcept {}
+  void deallocate(T* p, std::size_t n) noexcept { arena_->release(p, n * sizeof(T)); }
 
   [[nodiscard]] Arena* arena() const noexcept { return arena_; }
 

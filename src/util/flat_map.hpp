@@ -15,15 +15,17 @@
 // FlatMap stores slots contiguously in key order and marks erased slots dead
 // instead of shifting (an erase is a store, iteration skips dead slots, and a
 // first-live cursor keeps begin() O(1) amortized as the front retires).
+// An insert that finds the array full with at most half its slots live
+// first drops the dead ones instead of reallocating, so capacity follows
+// the peak live count (a connection's packets in flight), not every key
+// the table ever held.
 // Iteration order over live slots is exactly std::map's key order, so every
 // consumer sees the same sequence of entries and results stay bit-identical.
 //
 // Deliberate differences from std::map:
-//   * slots are recycled only by key revival; capacity is released by clear()
-//     or destruction — per-trial tables on a per-trial arena, so unbounded
-//     growth is bounded by the trial,
-//   * iterators are invalidated by insertion (vector semantics); the hot
-//     loops either iterate-and-erase or insert, never both at once,
+//   * iterators are invalidated by insertion (vector semantics; compaction
+//     moves slots only where a reallocation would have moved them anyway);
+//     the hot loops either iterate-and-erase or insert, never both at once,
 //   * value_type is pair<Key, V>, not pair<const Key, V> — keys of live
 //     slots must not be mutated through iterators (nothing does).
 #pragma once
@@ -98,6 +100,8 @@ class FlatMap {
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  /// Slots the array holds before an insert must compact or reallocate.
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.capacity(); }
 
   [[nodiscard]] iterator begin() noexcept { return make_iter(first_live_); }
   [[nodiscard]] iterator end() noexcept { return make_iter(slots_.size()); }
@@ -139,11 +143,12 @@ class FlatMap {
     // Fast path: packet numbers and stream ids grow, so almost every new key
     // appends past the current maximum and no shifting ever happens.
     if (slots_.empty() || key > slots_.back().kv.first) {
+      reclaim_before_growth();
       slots_.emplace_back(key, std::forward<Args>(args)...);
       mark_live(slots_.size() - 1);
       return {make_iter(slots_.size() - 1), true};
     }
-    const std::size_t pos = lower_bound_index_raw(key);
+    std::size_t pos = lower_bound_index_raw(key);
     if (pos < slots_.size() && slots_[pos].kv.first == key) {
       if (slots_[pos].live) return {make_iter(pos), false};
       // Revive a tombstone: same key re-inserted after an erase.
@@ -153,6 +158,7 @@ class FlatMap {
     }
     // Out-of-order key (rare: reordered arrivals opening a gap): a real
     // sorted insert, O(n) in the tail beyond it.
+    if (reclaim_before_growth()) pos = lower_bound_index_raw(key);
     slots_.emplace(slots_.begin() + static_cast<std::ptrdiff_t>(pos), key,
                    std::forward<Args>(args)...);
     mark_live(pos);
@@ -212,7 +218,7 @@ class FlatMap {
   [[nodiscard]] std::size_t lower_bound_index(Key key) const noexcept {
     // Everything before the first-live cursor is dead: search only the live
     // suffix. Tables that retire their front (unacked packets, in-flight
-    // samples) never compact, so the dead prefix is most of the array.
+    // samples) compact only when the array fills, so the prefix builds up.
     return lower_bound_index_raw(key, first_live_);
   }
 
@@ -220,6 +226,18 @@ class FlatMap {
     slots_[pos].live = true;
     ++live_;
     if (pos < first_live_) first_live_ = pos;
+  }
+
+  /// Before an insert into a full array that is at most half live, drops
+  /// the dead slots (live ones keep their order, the capacity stays), so
+  /// the insert fits without reallocating. Returns whether it compacted.
+  bool reclaim_before_growth() {
+    if (slots_.size() < slots_.capacity() || live_ * 2 > slots_.size()) return false;
+    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                [](const Slot& slot) { return !slot.live; }),
+                 slots_.end());
+    first_live_ = 0;
+    return true;
   }
 
   void advance_first_live() noexcept {

@@ -11,6 +11,7 @@
 // PERFORMANCE.md update, not just a bigger constant.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -93,6 +94,36 @@ TEST(AllocBudget, MultiFlowSteadyStateTrialStaysInBudget) {
   EXPECT_LE(allocs, kMaxAllocationsPerTrial + kBudgetFlows * kMaxAllocationsPerFlow)
       << "contended steady-state trial allocates more than the documented "
          "budget; see docs/PERFORMANCE.md before raising the constants";
+}
+
+/// Ceiling on the trial arena's footprint (bytes owned by its blocks) on the
+/// costliest heavy-mix cells, a ratchet like kMaxAllocationsPerTrial
+/// (docs/PERFORMANCE.md). Container storage is recycled and FlatMap tables
+/// compact, so the footprint follows what is in flight: 64 + 128 + 256 +
+/// 512 + 1024 KiB of blocks on both stacks, where a monotonic arena
+/// needed 4032 KiB.
+constexpr std::size_t kMaxArenaBytesLossyTrial = 1984 * 1024;
+
+std::size_t warm_arena_bytes(const std::string& protocol_name) {
+  const auto catalog = web::study_catalog(7);
+  const web::Website& site = web::site_by_name(catalog, "nytimes.com");
+  const auto& protocol = core::protocol_by_name(protocol_name);
+  const net::NetworkProfile profile = net::da2gc_profile();
+  core::TrialContext context;
+  for (std::uint64_t seed = 1; seed <= kWarmupTrials + 5; ++seed) {
+    (void)context.run(core::TrialSpec(site, protocol, profile, seed));
+  }
+  return context.arena_bytes_reserved();
+}
+
+TEST(ArenaBudget, TcpBbrOnDa2gcStaysInBudget) {
+  EXPECT_LE(warm_arena_bytes("TCP+BBR"), kMaxArenaBytesLossyTrial)
+      << "see docs/PERFORMANCE.md before raising kMaxArenaBytesLossyTrial";
+}
+
+TEST(ArenaBudget, QuicBbrOnDa2gcStaysInBudget) {
+  EXPECT_LE(warm_arena_bytes("QUIC+BBR"), kMaxArenaBytesLossyTrial)
+      << "see docs/PERFORMANCE.md before raising kMaxArenaBytesLossyTrial";
 }
 
 /// The counting shim itself: a heap allocation visibly moves the counter.

@@ -1,11 +1,16 @@
 // Unit tests for util: RNG determinism/distributions, units, table printer,
-// SmallFunction callbacks, ring buffer, durable files, the CLI flag parser.
+// SmallFunction callbacks, ring buffer, the trial arena and FlatMap, durable
+// files, the CLI flag parser.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -14,8 +19,14 @@
 
 #include <unistd.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "util/arena.hpp"
 #include "util/args.hpp"
 #include "util/durable_file.hpp"
+#include "util/flat_map.hpp"
 #include "util/function.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -267,6 +278,215 @@ TEST(RingBuffer, ClearEmptiesAndStaysUsable) {
   buffer.push_back(std::make_unique<int>(3));
   EXPECT_EQ(*buffer.front(), 3);
   EXPECT_EQ(*buffer.pop_front(), 3);
+}
+
+// --- Arena -------------------------------------------------------------------
+
+TEST(Arena, ReleasedStorageIsHandedBackForItsSizeClass) {
+  Arena arena;
+  void* node = arena.acquire(40);
+  void* other = arena.acquire(40);
+  arena.release(node, 40);
+  EXPECT_NE(arena.acquire(64), node) << "a different size class must not take it";
+  const std::size_t used = arena.bytes_used();
+  EXPECT_EQ(arena.acquire(33), node) << "33..48 bytes share the 48-byte class";
+  EXPECT_EQ(arena.bytes_used(), used) << "a recycled block is not a bump";
+  arena.release(other, 48);
+  EXPECT_EQ(arena.acquire(48), other);
+}
+
+TEST(Arena, StorageAboveTheLargestClassIsNeverRecycled) {
+  Arena arena;
+  void* big = arena.acquire(Arena::kMaxRecycledBytes + 1);
+  arena.release(big, Arena::kMaxRecycledBytes + 1);
+  EXPECT_NE(arena.acquire(Arena::kMaxRecycledBytes + 1), big);
+}
+
+TEST(Arena, ResetEmptiesTheFreeLists) {
+  Arena arena;
+  arena.release(arena.acquire(40), 40);
+  arena.reset();
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  (void)arena.acquire(40);
+  EXPECT_EQ(arena.bytes_used(), 48u) << "after reset() a request must bump, not pop";
+}
+
+TEST(Arena, CreateAndArenaVecStorageIsNeverRecycled) {
+  struct Pod {
+    std::uint64_t a;
+    std::uint64_t b;
+  };
+  Arena arena;
+  void* node = arena.acquire(sizeof(Pod));
+  arena.release(node, sizeof(Pod));
+  EXPECT_NE(static_cast<void*>(arena.create<Pod>()), node);
+  ArenaVec<std::uint32_t> vec;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    vec.push_back(arena, i);
+    EXPECT_NE(static_cast<const void*>(vec.data()), node);
+  }
+  // The class still holds the released block: only acquire() takes it.
+  EXPECT_EQ(arena.acquire(sizeof(Pod)), node);
+}
+
+TEST(Arena, MapAndDequeChurnKeepsTheArenaFlatAfterWarmUp) {
+  Arena arena;
+  using Value = std::pair<const std::uint64_t, std::uint64_t>;
+  std::map<std::uint64_t, std::uint64_t, std::less<>, ArenaAllocator<Value>> map{
+      ArenaAllocator<Value>(arena)};
+  std::deque<std::uint64_t, ArenaAllocator<std::uint64_t>> fifo{
+      ArenaAllocator<std::uint64_t>(arena)};
+  std::uint64_t next = 0;
+  const auto churn = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      map.emplace(next, next);
+      fifo.push_back(next);
+      ++next;
+      if (map.size() > 100) map.erase(map.begin());
+      if (fifo.size() > 300) fifo.pop_front();
+    }
+  };
+  churn(2000);
+  const std::size_t warm = arena.bytes_used();
+  churn(20000);
+  EXPECT_EQ(arena.bytes_used(), warm) << "erased nodes and chunks must be reused";
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_EQ(map.begin()->first, next - 100);
+  EXPECT_EQ(fifo.front(), next - 300);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(Arena, ReleasedStorageIsPoisonedUntilReused) {
+  Arena arena;
+  void* node = arena.acquire(40);
+  arena.release(node, 40);
+  EXPECT_TRUE(__asan_address_is_poisoned(node));
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(node) + 47));
+  EXPECT_EQ(arena.acquire(40), node);
+  EXPECT_FALSE(__asan_address_is_poisoned(static_cast<char*>(node) + 47));
+  arena.release(node, 40);
+  arena.reset();
+  EXPECT_FALSE(__asan_address_is_poisoned(node)) << "reset() hands the bytes to the bump";
+}
+#endif
+
+// --- FlatMap -----------------------------------------------------------------
+
+using Model = std::map<std::uint64_t, std::uint64_t>;
+
+void expect_same_entries(const FlatMap<std::uint64_t, std::uint64_t>& map, const Model& model) {
+  ASSERT_EQ(map.size(), model.size());
+  auto expected = model.begin();
+  for (const auto& [key, value] : map) {
+    ASSERT_NE(expected, model.end());
+    EXPECT_EQ(key, expected->first);
+    EXPECT_EQ(value, expected->second);
+    ++expected;
+  }
+  EXPECT_EQ(expected, model.end());
+}
+
+/// A seeded stream of the operations the transports issue — appends, rare
+/// out-of-order inserts, front and middle erases, revivals of erased keys —
+/// checked step by step against std::map. Front retirement keeps the live
+/// set small, so the stream crosses many compactions.
+void run_against_model(std::uint64_t seed) {
+  Arena arena;
+  FlatMap<std::uint64_t, std::uint64_t> map(arena);
+  Model model;
+  std::vector<std::uint64_t> erased;  // every key ever erased, revival candidates
+  Rng rng(seed);
+  std::uint64_t top = 0;
+  std::uint64_t inserted = 0;
+  const auto retire_front = [&] {
+    if (model.empty()) return;
+    const auto next = map.erase(map.begin());
+    erased.push_back(model.begin()->first);
+    model.erase(model.begin());
+    if (model.empty()) {
+      EXPECT_EQ(next, map.end());
+    } else {
+      ASSERT_NE(next, map.end());
+      EXPECT_EQ(next->first, model.begin()->first);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t value = rng.next_u64();
+    const std::int64_t op = rng.uniform_int(0, 99);
+    if (op < 45) {  // append past the maximum
+      top += static_cast<std::uint64_t>(rng.uniform_int(1, 3));
+      const auto [it, fresh] = map.try_emplace(top, value);
+      ASSERT_TRUE(fresh);
+      EXPECT_EQ(it->first, top);
+      model.emplace(top, value);
+      ++inserted;
+    } else if (op < 50 || (op < 58 && !erased.empty())) {  // out of order, or a revival
+      const std::uint64_t key =
+          op < 50 ? static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(top)))
+                  : erased[static_cast<std::size_t>(
+                        rng.uniform_int(0, static_cast<std::int64_t>(erased.size()) - 1))];
+      const auto [it, fresh] = map.try_emplace(key, value);
+      const auto [expected, model_fresh] = model.try_emplace(key, value);
+      ASSERT_EQ(fresh, model_fresh) << "key " << key;
+      EXPECT_EQ(it->first, key);
+      EXPECT_EQ(it->second, expected->second);
+      inserted += fresh ? 1 : 0;
+    } else if (op < 85) {  // retire the front, as a cumulative ACK does
+      retire_front();
+    } else if (op < 95) {  // erase by key, present or not
+      const auto key =
+          static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(top)));
+      const std::size_t removed = map.erase(key);
+      ASSERT_EQ(removed, model.erase(key)) << "key " << key;
+      if (removed != 0) erased.push_back(key);
+    } else {  // lookups
+      const auto key =
+          static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(top) + 1));
+      const auto found = map.find(key);
+      ASSERT_EQ(found != map.end(), model.contains(key)) << "key " << key;
+      if (found != map.end()) {
+        EXPECT_EQ(found->second, model.at(key));
+      }
+      EXPECT_EQ(map.contains(key), model.contains(key));
+      const auto lower = map.lower_bound(key);
+      const auto model_lower = model.lower_bound(key);
+      ASSERT_EQ(lower == map.end(), model_lower == model.end()) << "key " << key;
+      if (lower != map.end()) {
+        EXPECT_EQ(lower->first, model_lower->first);
+      }
+    }
+    if (model.size() > 64) retire_front();  // a bounded window in flight
+    ASSERT_EQ(map.size(), model.size());
+    ASSERT_EQ(map.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(map.back_key(), model.rbegin()->first);
+    }
+    if (step % 97 == 0) expect_same_entries(map, model);
+  }
+  expect_same_entries(map, model);
+  // Most keys were retired long ago: the array cannot have grown with them.
+  EXPECT_GT(inserted, 16 * map.capacity()) << "the stream should cross many compactions";
+}
+
+TEST(FlatMap, MatchesStdMapAcrossCompactions) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    run_against_model(seed);
+  }
+}
+
+TEST(FlatMap, CapacityFollowsTheLiveWindowNotEveryKeyEverHeld) {
+  constexpr std::size_t kWindow = 48;
+  Arena arena;
+  FlatMap<std::uint64_t, std::uint64_t> map(arena);
+  for (std::uint64_t key = 0; key < 100000; ++key) {
+    map.try_emplace(key, key * 3);
+    if (map.size() > kWindow) map.erase(map.begin());
+  }
+  EXPECT_LE(map.capacity(), 4 * kWindow);
+  EXPECT_EQ(map.size(), kWindow);
+  EXPECT_EQ(map.begin()->first, 100000 - kWindow);
+  EXPECT_EQ(map.back_key(), 99999u);
 }
 
 // --- DurableFile -------------------------------------------------------------
